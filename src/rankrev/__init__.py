@@ -11,7 +11,6 @@ from .expressions import Expression, parse_expression
 from .modelfile import ModelFile, format_model, load_model, parse_model, resolve_proposition
 from .ranking import (
     OCF,
-    DegreeReport,
     Preference,
     RankedModel,
     ocf_from_rpm,
@@ -63,7 +62,6 @@ __all__ = [
     "AxiomReport",
     "CounterexampleFixture",
     "CounterexampleReport",
-    "DegreeReport",
     "EpistemicInput",
     "Expression",
     "InputError",

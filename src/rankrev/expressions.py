@@ -8,7 +8,8 @@ Grammar, loosest to tightest binding::
     unary := '~' unary | '(' expr ')' | ATOM
 
 An expression evaluates against a world's valuation; its denotation is the
-set of worlds where it comes out true.
+set of worlds where it comes out true.  Expressions nested deeper than
+``MAX_NESTING`` levels are rejected with a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ class Implies(Expression):
         return f"({self.left} -> {self.right})"
 
 
+# Deepest accepted nesting: at most this many '~', '(' and '->' enclose any
+# point, and at most this many operators lie on any path from the root.  Far
+# beyond hand-written expressions, well within Python's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"->|[~&|()]|[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
@@ -125,34 +131,49 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Expression:
-        left = self.disjunction()
+    def nested(self, level: int, tok: _Token) -> int:
+        """``level`` if it is within the nesting limit; a ParseError at ``tok`` if not."""
+        if level > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             self.line, tok.column)
+        return level
+
+    # Each rule takes the number of enclosing '~', '(' and '->' (which bounds
+    # the parser's recursion) and returns its tree with the tree's height
+    # (which bounds the recursion of evaluating or printing it).
+
+    def expr(self, depth: int) -> tuple[Expression, int]:
+        left, height = self.disjunction(depth)
         tok = self.peek()
         if tok is not None and tok.text == "->":
             self.take()
-            return Implies(left, self.expr())
-        return left
+            right, right_height = self.expr(self.nested(depth + 1, tok))
+            return Implies(left, right), self.nested(max(height, right_height) + 1, tok)
+        return left, height
 
-    def disjunction(self) -> Expression:
-        left = self.conjunction()
+    def disjunction(self, depth: int) -> tuple[Expression, int]:
+        left, height = self.conjunction(depth)
         while (tok := self.peek()) is not None and tok.text == "|":
             self.take()
-            left = Or(left, self.conjunction())
-        return left
+            right, right_height = self.conjunction(depth)
+            left, height = Or(left, right), self.nested(max(height, right_height) + 1, tok)
+        return left, height
 
-    def conjunction(self) -> Expression:
-        left = self.unary()
+    def conjunction(self, depth: int) -> tuple[Expression, int]:
+        left, height = self.unary(depth)
         while (tok := self.peek()) is not None and tok.text == "&":
             self.take()
-            left = And(left, self.unary())
-        return left
+            right, right_height = self.unary(depth)
+            left, height = And(left, right), self.nested(max(height, right_height) + 1, tok)
+        return left, height
 
-    def unary(self) -> Expression:
+    def unary(self, depth: int) -> tuple[Expression, int]:
         tok = self.take()
         if tok.text == "~":
-            return Not(self.unary())
+            operand, height = self.unary(self.nested(depth + 1, tok))
+            return Not(operand), self.nested(height + 1, tok)
         if tok.text == "(":
-            inner = self.expr()
+            inner = self.expr(self.nested(depth + 1, tok))
             closing = self.take()
             if closing.text != ")":
                 raise ParseError(f"expected ')', got {closing.text!r}", self.line, closing.column)
@@ -160,7 +181,7 @@ class _Parser:
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok.text):
             if tok.text not in self.atoms:
                 raise ParseError(f"unknown atom {tok.text!r}", self.line, tok.column)
-            return Atom(tok.text)
+            return Atom(tok.text), 0
         raise ParseError(f"expected an atom, '~', or '(', got {tok.text!r}",
                          self.line, tok.column)
 
@@ -169,7 +190,7 @@ def parse_expression(text: str, atoms: frozenset[str] | set[str] | tuple[str, ..
                      line: int = 1) -> Expression:
     """Parse ``text`` against the declared atoms; positions in diagnostics are 1-based."""
     parser = _Parser(text, frozenset(atoms), line)
-    result = parser.expr()
+    result, _ = parser.expr(0)
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"unexpected {trailing.text!r} after expression", line, trailing.column)

@@ -164,22 +164,6 @@ class OCF:
         return "{" + " ".join(f"{w}:{v}" for w, v in zip(self.universe.worlds, self.values)) + "}"
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    """A proposition together with its degree of disbelief."""
-
-    proposition: Proposition
-    degree: int
-
-    @classmethod
-    def of_model(cls, model: RankedModel, prop: Proposition) -> DegreeReport:
-        return cls(prop, model.disbelief_degree(prop))
-
-    @classmethod
-    def of_ocf(cls, ocf: OCF, prop: Proposition) -> DegreeReport:
-        return cls(prop, ocf.degree(prop))
-
-
 def rpm_from_ocf(ocf: OCF) -> RankedModel:
     """Group worlds by equal value, blocks ascending; gaps collapse to consecutive ranks."""
     levels = sorted(set(ocf.values))

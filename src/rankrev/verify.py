@@ -20,6 +20,13 @@ The checkers cover three layers:
 
 Belief-set containment is always checked through its total-content reversal:
 belief set of T1 is contained in that of T2 exactly when T2 ⊆ T1.
+
+The checkers that walk proposition pairs tabulate each per-proposition value
+once per checked model, through the public ``revise``, ``disbelief_degree``
+and ``first_consistent_block``, then run the pair loop over int masks.
+Tables have 2^n entries, never 4^n.  The degree checker's two tables come
+from the two independent routes (minimum world rank, first consistent
+block), so comparing them is still a check.
 """
 
 from __future__ import annotations
@@ -89,49 +96,63 @@ def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> Axio
     B1-B6 run over every proposition, B7/B8 over every ordered pair.  B1
     holds by representation (revision always yields a total content, whose
     belief set is deductively closed), so it reduces to a structural check.
+
+    ``revise`` is called once per proposition (twice, for B6) to build the
+    table ``t[m]`` of revised content masks; the pair loop then reads
+    ``t[a & b]`` and compares masks, building propositions only for a
+    witness.
     """
     u = model.universe
     _check_bound(u, max_worlds)
-    prior = model.blocks[0]
-    props = list(u.propositions())
+    prior = model.blocks[0].mask
+    size = 1 << len(u.worlds)
+    t = []
     cases = 0
-    for a in props:
+    for a in range(size):
         cases += 1
-        t_a = revise(model, a).content
+        prop = u.prop_from_mask(a)
+        content = revise(model, prop).content
         # B1: the result is a total content over the same universe.
-        if t_a.universe != u:
+        if content.universe != u:
             return _agm_fail("B1", model, a, None, cases)
+        t_a = content.mask
+        t.append(t_a)
+        expansion = prior & a
         # B2: the revised state believes a.
-        if not t_a.entails(a):
+        if t_a & ~a:
             return _agm_fail("B2", model, a, None, cases)
         # B3: revision is contained in expansion (reversed on contents).
-        if not prior.intersect(a).entails(t_a):
+        if expansion & ~t_a:
             return _agm_fail("B3", model, a, None, cases)
         # B4: when a is compatible with the prior state, expansion is contained in revision.
-        if not prior.intersect(a).is_empty and not t_a.entails(prior.intersect(a)):
+        if expansion and t_a & ~expansion:
             return _agm_fail("B4", model, a, None, cases)
         # B5: inconsistent exactly for the contradiction.
-        if t_a.is_empty != a.is_empty:
+        if (t_a == 0) != (a == 0):
             return _agm_fail("B5", model, a, None, cases)
         # B6: set-propositions make logical equivalence plain identity.
-        if revise(model, a).content != t_a:
+        if revise(model, prop).content != content:
             return _agm_fail("B6", model, a, None, cases)
-    for a in props:
-        t_a = revise(model, a).content
-        for b in props:
+    for a in range(size):
+        t_a = t[a]
+        for b in range(size):
             cases += 1
-            t_ab = revise(model, a.intersect(b)).content
+            t_ab = t[a & b]
+            expanded = t_a & b
             # B7: revising by the conjunction is contained in expanding the revision.
-            if not t_a.intersect(b).entails(t_ab):
+            if expanded & ~t_ab:
                 return _agm_fail("B7", model, a, b, cases)
             # B8: guarded converse, when b is compatible with the revised state.
-            if not t_a.intersect(b).is_empty and not t_ab.entails(t_a.intersect(b)):
+            if expanded and t_ab & ~expanded:
                 return _agm_fail("B8", model, a, b, cases)
     return AxiomReport("agm", True, cases)
 
 
-def _agm_fail(axiom: str, model: RankedModel, a: Proposition,
-              b: Proposition | None, cases: int) -> AxiomReport:
+def _agm_fail(axiom: str, model: RankedModel, a_mask: int, b_mask: int | None,
+              cases: int) -> AxiomReport:
+    u = model.universe
+    a = u.prop_from_mask(a_mask)
+    b = None if b_mask is None else u.prop_from_mask(b_mask)
     detail = f"{axiom} violated at A={a}" + (f", B={b}" if b is not None else "")
     return AxiomReport("agm", False, cases,
                        Witness(detail, model=model, proposition=a, second=b))
@@ -152,6 +173,9 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     alone would have produced: B9 when B entails A, B10 when B entails the
     complement.  Checked at the belief-set level, over every non-degenerate A
     and every eligible non-empty B.
+
+    The prior's side, ``revise(model, B)``, is tabulated once per
+    proposition; the revised side is computed per case.
     """
     axiom = axiom.upper()
     if axiom not in ("B9", "B10"):
@@ -159,17 +183,20 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     u = model.universe
     _check_bound(u, max_worlds)
     full = u.tautology().mask
+    props = [u.prop_from_mask(m) for m in range(full + 1)]
+    expected = [revise(model, p).content for p in props]
     cases = 0
     for a_mask in range(1, full):
-        a = u.prop_from_mask(a_mask)
+        a = props[a_mask]
         revised = apply_rule(rule, model, EpistemicInput(a, Attitude.BELIEVE))
         side = a_mask if axiom == "B9" else full ^ a_mask
         for b_mask in _nonempty_submasks(side):
             cases += 1
-            b = u.prop_from_mask(b_mask)
-            if revise(revised, b).content != revise(model, b).content:
+            b = props[b_mask]
+            got = revise(revised, b).content
+            if got != expected[b_mask]:
                 detail = (f"{axiom} violated: believe {a} then revise by {b} "
-                          f"gives {revise(revised, b).content}, expected {revise(model, b).content}")
+                          f"gives {got}, expected {expected[b_mask]}")
                 return AxiomReport(axiom, False, cases,
                                    Witness(detail, model=model, proposition=a, second=b))
     return AxiomReport(axiom, True, cases)
@@ -214,6 +241,11 @@ def check_degree_conditions(model: RankedModel,
     (i) a singleton's degree is its world's rank (holds by construction, so
     checked directly per world); (ii) for non-empty A, B: degree(A) <
     degree(B) exactly when the first block consistent with A ∪ B misses B.
+
+    The two sides of (ii) come from two tables built once per proposition
+    by independent routes: degrees from ``disbelief_degree`` (the minimum
+    over world ranks), first blocks from ``first_consistent_block`` (the
+    block scan).  The pair loop compares them over int masks.
     """
     u = model.universe
     _check_bound(u, max_worlds)
@@ -225,20 +257,23 @@ def check_degree_conditions(model: RankedModel,
                                Witness(f"degree of {{{w}}} is not its rank", model=model,
                                        proposition=u.prop(w)))
     full = u.tautology().mask
+    props = [u.prop_from_mask(m) for m in range(full + 1)]
+    degree = [None] + [model.disbelief_degree(p) for p in props[1:]]
+    blocks = [block.mask for block in model.blocks]
+    first_block = [None] + [blocks[model.first_consistent_block(p)] for p in props[1:]]
     for a_mask in range(1, full + 1):
-        a = u.prop_from_mask(a_mask)
+        d_a = degree[a_mask]
         for b_mask in range(1, full + 1):
             cases += 1
-            b = u.prop_from_mask(b_mask)
-            strictly_less = model.disbelief_degree(a) < model.disbelief_degree(b)
-            first = model.first_consistent_block(a.union(b))
-            misses_b = (model.blocks[first].mask & b_mask) == 0
+            strictly_less = d_a < degree[b_mask]
+            misses_b = (first_block[a_mask | b_mask] & b_mask) == 0
             if strictly_less != misses_b:
-                detail = (f"degree condition (ii) violated at A={a}, B={b}: "
-                          f"d(A)<d(B) is {strictly_less} but first block of A∪B "
-                          f"{'misses' if misses_b else 'meets'} B")
+                detail = (f"degree condition (ii) violated at A={props[a_mask]}, "
+                          f"B={props[b_mask]}: d(A)<d(B) is {strictly_less} but first block "
+                          f"of A∪B {'misses' if misses_b else 'meets'} B")
                 return AxiomReport("degrees", False, cases,
-                                   Witness(detail, model=model, proposition=a, second=b))
+                                   Witness(detail, model=model, proposition=props[a_mask],
+                                           second=props[b_mask]))
     return AxiomReport("degrees", True, cases)
 
 

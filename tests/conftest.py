@@ -53,6 +53,9 @@ def plain_universe(n: int) -> rr.Universe:
     return rr.Universe(tuple(f"w{i}" for i in range(n)))
 
 
+ALL_MODELS_5 = tuple(rr.enumerate_ranked_models(plain_universe(5)))
+
+
 def collapse(values) -> tuple[int, ...]:
     """Remap arbitrary non-negative levels to consecutive ranks 0..k."""
     remap = {v: i for i, v in enumerate(sorted(set(values)))}
@@ -82,3 +85,32 @@ def models_with_input(draw, min_worlds=2, max_worlds=5):
     mask = draw(st.integers(1, (1 << n) - 2))
     attitude = draw(st.sampled_from(list(rr.Attitude)))
     return model, rr.EpistemicInput(model.universe.prop_from_mask(mask), attitude)
+
+
+# ---------------------------------------------------------------------------
+# deliberately broken operations, so the checkers can be shown to fail
+
+
+def _reverse_accepted(model, epistemic_input):
+    """Lexicographic belief, but with the accepted side's internal order reversed."""
+    if epistemic_input.attitude is not rr.Attitude.BELIEVE:
+        return rr.lexicographic_rule(model, epistemic_input)
+    prop = epistemic_input.proposition
+    accepted = [b & prop for b in model.blocks if not (b & prop).is_empty]
+    rejected = [b & ~prop for b in model.blocks if not (b & ~prop).is_empty]
+    return rr.RankedModel(tuple(accepted[::-1] + rejected))
+
+
+reverse_accepted_rule = rr.RevisionRule("reverse-accepted", _reverse_accepted)
+
+
+def max_rank_degree(model, prop):
+    """A broken degree route: the maximum rank over the worlds, not the minimum."""
+    ranks = model.ranks()
+    return max(ranks[i] for i in prop.indices())
+
+
+def last_consistent_block(model, prop):
+    """A broken block scan: the last block meeting the proposition, not the first."""
+    hits = [i for i, block in enumerate(model.blocks) if block.mask & prop.mask]
+    return hits[-1] if hits else None

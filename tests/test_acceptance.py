@@ -13,7 +13,7 @@ import rankrev as rr
 from rankrev import Attitude, EpistemicInput
 from rankrev.cli import main, render_counterexample
 
-from conftest import ALL_MODELS_4, PROP_A, R1, R2, R3, U4
+from conftest import ALL_MODELS_4, ALL_MODELS_5, PROP_A, R1, R2, R3, U4
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.bel")
 GOLDEN = Path(__file__).parent / "golden" / "counterexample.txt"
@@ -28,12 +28,12 @@ def test_criterion_1_agm_soundness_exhaustive():
     start = time.perf_counter()
     cases = 0
     ok = True
-    for model in ALL_MODELS_4:
+    for model in ALL_MODELS_5:
         report = rr.check_agm(model)
         cases += report.cases
-        ok = ok and report.passed and report.cases == 16 + 256
+        ok = ok and report.passed and report.cases == 32 + 1024
     elapsed = time.perf_counter() - start
-    _report("1 (single-step axioms on all 75 models)",
+    _report("1 (single-step axioms on all 541 five-world models)",
             ok and elapsed < 1.0, f"{cases} cases in {elapsed:.2f}s")
 
 
@@ -89,7 +89,7 @@ def test_criterion_3_rule_space_theorem():
 
 def test_criterion_4_degrees():
     start = time.perf_counter()
-    ok = all(rr.check_degree_conditions(m).passed for m in ALL_MODELS_4)
+    ok = all(rr.check_degree_conditions(m).passed for m in ALL_MODELS_5)
     ok = ok and R1.disbelief_degree(PROP_A) == 1 and R2.disbelief_degree(PROP_A) == 1
     not_a = PROP_A.complement()
     ok = ok and R1.disbelief_degree(not_a) == 0 and R2.disbelief_degree(not_a) == 0
@@ -100,7 +100,8 @@ def test_criterion_4_degrees():
         reached |= {m for m in (R1, R2) if out == m}
     ok = ok and len(reached) <= 1
     elapsed = time.perf_counter() - start
-    _report("4 (degree conditions on all 75 models; strengths reach at most one start)",
+    _report("4 (degree conditions on all 541 five-world models; "
+            "strengths reach at most one start)",
             ok, f"d(A)=1, d(~A)=0 on both starts; reached {len(reached)} of "
                 f"{{r1, r2}}; {elapsed:.2f}s")
 

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from rankrev.cli import main
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.bel")
@@ -164,6 +166,16 @@ def test_bad_expression_is_input_error(capsys):
     code, _, err = run(capsys, "revise", "--model", FIXTURE, "--state", "r1", "A & C")
     assert code == 2
     assert "unknown atom" in err
+
+
+@pytest.mark.parametrize("text", ["~" * 5000 + "A", "(" * 400 + "A" + ")" * 400,
+                                  "&".join(["A"] * 5000)],
+                         ids=["not", "parens", "and-chain"])
+def test_deep_expression_is_input_error(capsys, text):
+    code, out, err = run(capsys, "revise", "--model", FIXTURE, "--state", "r1", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 1:") and "nested deeper than" in err
 
 
 def test_usage_error_exit_code(capsys):

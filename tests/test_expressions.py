@@ -64,6 +64,28 @@ def test_syntax_errors():
             parse_expression(bad, ("A", "B"))
 
 
+def _nested(kind, levels):
+    """An expression ``levels`` deep in one construct."""
+    if kind == "not":
+        return "~" * levels + "A"
+    if kind == "parens":
+        return "(" * levels + "A" + ")" * levels
+    operator = {"and": " & ", "or": " | ", "implies": " -> "}[kind]
+    return operator.join(["A"] * (levels + 1))
+
+
+@pytest.mark.parametrize("kind", ["not", "parens", "and", "or", "implies"])
+def test_nesting_limit(kind):
+    limit = rr.expressions.MAX_NESTING
+    a = U2.prop("AB", "Ab")
+    expected = {"not": a if limit % 2 == 0 else ~a, "parens": a, "and": a, "or": a,
+                "implies": U2.tautology()}[kind]
+    assert denote(_nested(kind, limit)) == expected
+    with pytest.raises(ParseError) as exc:
+        parse_expression(_nested(kind, limit + 1), ("A", "B"))
+    assert "nested deeper than" in exc.value.message
+
+
 def test_line_is_threaded_into_diagnostics():
     with pytest.raises(ParseError) as exc:
         parse_expression("A | |", ("A",), line=7)

@@ -134,7 +134,3 @@ def test_collapse_helper_matches_conversion(uni):
     values = (0, 0, 1, 3)
     assert rr.ocf_from_rpm(rr.rpm_from_ocf(rr.OCF(uni, values))).values == collapse(values)
 
-
-def test_degree_report(uni, r1, k1, prop_a):
-    assert rr.DegreeReport.of_model(r1, prop_a) == rr.DegreeReport(prop_a, 1)
-    assert rr.DegreeReport.of_ocf(k1, uni.prop("ab")) == rr.DegreeReport(uni.prop("ab"), 2)

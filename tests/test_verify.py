@@ -7,7 +7,8 @@ import pytest
 import rankrev as rr
 from rankrev import Attitude, EpistemicInput, InputError
 
-from conftest import ALL_MODELS_4, U4, plain_universe
+from conftest import (ALL_MODELS_4, U4, max_rank_degree, plain_universe,
+                      reverse_accepted_rule)
 
 A = U4.prop("AB", "Ab")
 
@@ -372,3 +373,42 @@ def test_agm_checker_can_fail_and_witness_replays(uni, monkeypatch):
     # replayed through the real operation the axiom holds, confirming the
     # violation came from the broken revision, not the checker
     assert rr.check_agm(report.witness.model).passed
+
+
+def test_degree_checker_can_fail_and_witness_replays(monkeypatch):
+    # break the degree route: the maximum rank over the worlds, not the minimum
+    model = rr.RankedModel.from_labels(U4, ["aB"], ["AB", "Ab"], ["ab"])
+    monkeypatch.setattr(rr.RankedModel, "disbelief_degree", max_rank_degree)
+    report = rr.check_degree_conditions(model)
+    assert not report.passed
+    w = report.witness
+    a, b = w.proposition, w.second
+
+    def condition_holds():
+        strictly_less = w.model.disbelief_degree(a) < w.model.disbelief_degree(b)
+        first = w.model.blocks[w.model.first_consistent_block(a | b)]
+        return strictly_less == (first & b).is_empty
+
+    # replayed through the public API, the broken degrees violate condition (ii) ...
+    assert not condition_holds()
+    monkeypatch.undo()
+    # ... and the real ones satisfy it there and everywhere
+    assert condition_holds()
+    assert rr.check_degree_conditions(w.model).passed
+
+
+def test_b9_checker_can_fail_and_witness_replays(r2):
+    report = rr.check_iteration_axiom(reverse_accepted_rule, "B9", r2)
+    assert not report.passed
+    w = report.witness
+    assert w.second.entails(w.proposition)  # B9 case: B entails A
+
+    def believe_then_revise(rule):
+        revised = rr.apply_rule(rule, w.model, EpistemicInput(w.proposition, Attitude.BELIEVE))
+        return rr.revise(revised, w.second).content
+
+    # replay: believing A under the broken rule, then revising by B, misses the
+    # beliefs B alone gives; under the lexicographic rule it lands on them
+    assert believe_then_revise(reverse_accepted_rule) != rr.revise(w.model, w.second).content
+    assert believe_then_revise(rr.lexicographic_rule) == rr.revise(w.model, w.second).content
+    assert rr.check_iteration_axiom(rr.lexicographic_rule, "B9", w.model).passed
