@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import Callable
 
 from .errors import InputError, ParseError
 from .modelfile import ModelFile, load_model, resolve_proposition
@@ -42,7 +43,7 @@ from .worlds import Proposition, Universe
 
 _ATTITUDES = {"believe": Attitude.BELIEVE, "disbelieve": Attitude.DISBELIEVE,
               "suspend": Attitude.SUSPEND}
-_SCRIPT_LINE = re.compile(r"(believe|disbelieve|suspend)\s+(.+?)(?:\s+strength\s+(\d+))?\s*")
+_SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+(\d+))?\s*")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,20 +139,23 @@ def _cmd_revise(args) -> int:
     return 0
 
 
-def _parse_script(text: str, model_file: ModelFile) -> list[EpistemicInput]:
+def _parse_script(text: str, model_file: ModelFile, rule: RevisionRule) -> list[EpistemicInput]:
     steps = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         m = _SCRIPT_LINE.fullmatch(line)
         if not m:
             raise ParseError("expected 'believe|disbelieve|suspend EXPR [strength N]'", line_no)
-        attitude, prop_text, strength = m.groups()
+        attitude, prop_text, _, strength = m.groups()
         try:
             prop = resolve_proposition(model_file, prop_text)
         except ParseError as exc:
-            raise ParseError(exc.message, line_no) from None
+            raise ParseError(exc.message, line_no, m.start(2) + exc.column) from None
+        if strength and not rule.strength_based:
+            raise ParseError("strength needs a strength-based rule (spohn:N)",
+                             line_no, m.start(3) + 1)
         steps.append(EpistemicInput(prop, _ATTITUDES[attitude],
                                     int(strength) if strength else None))
     return steps
@@ -163,7 +167,7 @@ def _cmd_iterate(args) -> int:
     rule = rule_by_name(args.rule)
     try:
         with open(args.script, encoding="utf-8") as handle:
-            steps = _parse_script(handle.read(), mf)
+            steps = _parse_script(handle.read(), mf, rule)
     except OSError as exc:
         raise InputError(f"cannot read script {args.script!r}: {exc.strerror}") from None
     print(f"state {args.state} = {state}")
@@ -352,27 +356,29 @@ def _cmd_degrees(args) -> int:
     mf = load_model(args.model)
     if args.state in mf.rpms:
         state = mf.rpms[args.state]
+        degree = state.disbelief_degree
         print(f"state {args.state} = {state}")
     elif args.state in mf.ocfs:
         ocf = mf.ocfs[args.state]
         state = rpm_from_ocf(ocf)
+        degree = ocf.degree
         print(f"state {args.state} = {ocf}")
         print(f"as ranking = {state}")
     else:
         raise InputError(f"no state named {args.state!r} in model file")
     for name, prop in mf.props.items():
-        print(_degree_line(state, name, prop))
+        print(_degree_line(degree, name, prop))
     report = check_degree_conditions(state, args.max_worlds)
     return _print_report("degree conditions", report)
 
 
-def _degree_line(state: RankedModel, name: str, prop: Proposition) -> str:
+def _degree_line(degree: Callable[[Proposition], int], name: str, prop: Proposition) -> str:
     if prop.is_empty:
         return f"d({name}) undefined (contradiction)"
     if prop.is_full:
         return f"d({name}) = 0, d(~{name}) undefined (tautology): {name} is believed"
-    d = state.disbelief_degree(prop)
-    d_not = state.disbelief_degree(prop.complement())
+    d = degree(prop)
+    d_not = degree(prop.complement())
     if d > 0:
         verdict = "disbelieved"
     elif d_not > 0:

@@ -3,7 +3,8 @@
 Everything here is desk-scale and exact: universes are small enough to
 enumerate every proposition, every ordered partition, and every bounded OCF,
 so each checker quantifies over its whole case space and either passes or
-returns a replayable witness.
+returns a replayable witness.  Successor sets and the model behind a
+revision table are built directly, not found by scanning ordered partitions.
 
 The checkers cover three layers:
 
@@ -41,6 +42,7 @@ from .revision import (
     Attitude,
     EpistemicInput,
     RevisionRule,
+    _side_chain,
     apply_rule,
     required_content,
     revise,
@@ -307,44 +309,34 @@ def enumerate_ocfs(universe: Universe, max_value: int,
             yield OCF(universe, values)
 
 
-def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,
-                           max_worlds: int = DEFAULT_ENUMERATION_BOUND) -> tuple[RankedModel, ...]:
+def constrained_successors(model: RankedModel,
+                           epistemic_input: EpistemicInput) -> tuple[RankedModel, ...]:
     """All posterior rankings the iteration axioms leave open for one input.
 
-    Filters the full enumeration down to models that keep the prior's
-    relative order within each side of the input's proposition and whose
-    first block is exactly the belief content the attitude requires.
-    Returned in canonical enumeration order.
+    The first block is the belief content the attitude requires; after it,
+    each side of the proposition keeps its prior chain of tie groups.  Each
+    successor is one order-preserving merge of the two chains: every next
+    block is the head of one chain or both heads joined.  Returned in
+    canonical enumeration order.
     """
     prop = epistemic_input.proposition
     if prop.universe != model.universe:
         raise InputError("input proposition is over a different universe")
     if prop.is_empty or prop.is_full:
         raise InputError("successor enumeration needs a non-degenerate proposition")
-    u = model.universe
-    required = required_content(model, epistemic_input).content
-    before = model.ranks()
-    n = len(u.worlds)
-    side_pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (prop.mask >> i & 1) == (prop.mask >> j & 1)
-    ]
+    first = required_content(model, epistemic_input).content
+    accepted = _side_chain(model, prop & ~first)
+    rejected = _side_chain(model, ~prop & ~first)
 
-    def keeps_order(candidate: RankedModel) -> bool:
-        after = candidate.ranks()
-        return all(
-            (before[i] < before[j]) == (after[i] < after[j])
-            and (before[i] > before[j]) == (after[i] > after[j])
-            for i, j in side_pairs
-        )
+    def merges(xs: list[Proposition], ys: list[Proposition]) -> list[list[Proposition]]:
+        if not xs or not ys:
+            return [xs + ys]
+        return ([[xs[0]] + rest for rest in merges(xs[1:], ys)]
+                + [[ys[0]] + rest for rest in merges(xs, ys[1:])]
+                + [[xs[0] | ys[0]] + rest for rest in merges(xs[1:], ys[1:])])
 
-    return tuple(
-        candidate
-        for candidate in enumerate_ranked_models(u, max_worlds)
-        if candidate.blocks[0] == required and keeps_order(candidate)
-    )
+    successors = [RankedModel(tuple([first] + rest)) for rest in merges(accepted, rejected)]
+    return tuple(sorted(successors, key=lambda m: (len(m.blocks), m.ranks())))
 
 
 def _reversal_candidates(rule: RevisionRule, prop: Proposition,
@@ -579,8 +571,9 @@ def representation_check(table: Mapping[Proposition, TotalContent],
     """Find the ranked model defining a revision table, if one exists.
 
     The table must be total over the non-empty propositions of one universe.
-    Scans the canonical enumeration and returns the first exact match; a
-    table no model reproduces (any single-step axiom failure) yields None.
+    Peels the model's blocks (a system of spheres, Grove 1988), each the
+    table's content for the worlds not yet placed, then checks the whole
+    table against it; a table no model reproduces yields None.
     """
     if not table:
         raise InputError("empty revision table")
@@ -593,10 +586,15 @@ def representation_check(table: Mapping[Proposition, TotalContent],
     if masks != set(range(1, full + 1)):
         raise InputError("table must be total over all non-empty propositions")
     wanted = {p.mask: t.content for p, t in table.items()}
-    for model in enumerate_ranked_models(universe, max_worlds):
-        if all(
-            revise(model, universe.prop_from_mask(mask)).content == wanted[mask]
-            for mask in range(1, full + 1)
-        ):
-            return model
-    return None
+    blocks = []
+    remaining = full
+    while remaining:
+        block = wanted[remaining].mask
+        if not block or block & ~remaining:
+            return None
+        blocks.append(universe.prop_from_mask(block))
+        remaining &= ~block
+    model = RankedModel(tuple(blocks))
+    reproduces = all(revise(model, universe.prop_from_mask(mask)).content == wanted[mask]
+                     for mask in range(1, full + 1))
+    return model if reproduces else None

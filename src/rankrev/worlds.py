@@ -89,20 +89,6 @@ class Universe:
     def contradiction(self) -> Proposition:
         return Proposition(self, 0)
 
-    def atom_prop(self, atom: str) -> Proposition:
-        """The set of worlds at which ``atom`` is true."""
-        if self.valuations is None:
-            raise InputError("universe carries no valuations")
-        try:
-            j = self.atoms.index(atom)
-        except ValueError:
-            raise InputError(f"unknown atom {atom!r}") from None
-        mask = 0
-        for i, row in enumerate(self.valuations):
-            if row[j]:
-                mask |= 1 << i
-        return Proposition(self, mask)
-
     def valuation_of(self, label: str) -> dict[str, bool]:
         if self.valuations is None:
             raise InputError("universe carries no valuations")

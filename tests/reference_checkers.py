@@ -6,11 +6,16 @@ and ``check_iteration_axiom``: every case builds its propositions and calls
 no per-model tables.  The library's checkers must return equal reports:
 verdict, case count and witness, so also the first failing case.
 
+``constrained_successors`` and ``representation_check`` are the brute-force
+versions of the library's constructions: they filter or scan every ranked
+model in canonical order.  The library must return equal results, order
+included.
+
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
 """
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from rankrev import (
     Attitude,
@@ -19,10 +24,14 @@ from rankrev import (
     InputError,
     Proposition,
     RankedModel,
+    TotalContent,
     Witness,
     apply_rule,
+    enumerate_ranked_models,
+    required_content,
     revise,
 )
+from rankrev.verify import DEFAULT_CHECK_BOUND, DEFAULT_ENUMERATION_BOUND
 
 
 def _check_bound(universe, max_worlds: int):
@@ -129,3 +138,58 @@ def check_degree_conditions(model: RankedModel, max_worlds: int) -> AxiomReport:
                 return AxiomReport("degrees", False, cases,
                                    Witness(detail, model=model, proposition=a, second=b))
     return AxiomReport("degrees", True, cases)
+
+
+def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,
+                           max_worlds: int = DEFAULT_ENUMERATION_BOUND) -> tuple[RankedModel, ...]:
+    prop = epistemic_input.proposition
+    if prop.universe != model.universe:
+        raise InputError("input proposition is over a different universe")
+    if prop.is_empty or prop.is_full:
+        raise InputError("successor enumeration needs a non-degenerate proposition")
+    u = model.universe
+    required = required_content(model, epistemic_input).content
+    before = model.ranks()
+    n = len(u.worlds)
+    side_pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (prop.mask >> i & 1) == (prop.mask >> j & 1)
+    ]
+
+    def keeps_order(candidate: RankedModel) -> bool:
+        after = candidate.ranks()
+        return all(
+            (before[i] < before[j]) == (after[i] < after[j])
+            and (before[i] > before[j]) == (after[i] > after[j])
+            for i, j in side_pairs
+        )
+
+    return tuple(
+        candidate
+        for candidate in enumerate_ranked_models(u, max_worlds)
+        if candidate.blocks[0] == required and keeps_order(candidate)
+    )
+
+
+def representation_check(table: Mapping[Proposition, TotalContent],
+                         max_worlds: int = DEFAULT_CHECK_BOUND) -> RankedModel | None:
+    if not table:
+        raise InputError("empty revision table")
+    universe = next(iter(table)).universe
+    _check_bound(universe, max_worlds)
+    full = universe.tautology().mask
+    masks = {p.mask for p in table}
+    if any(p.universe != universe for p in table):
+        raise InputError("table keys are over different universes")
+    if masks != set(range(1, full + 1)):
+        raise InputError("table must be total over all non-empty propositions")
+    wanted = {p.mask: t.content for p, t in table.items()}
+    for model in enumerate_ranked_models(universe, max_worlds):
+        if all(
+            revise(model, universe.prop_from_mask(mask)).content == wanted[mask]
+            for mask in range(1, full + 1)
+        ):
+            return model
+    return None

@@ -145,13 +145,13 @@ def test_criterion_7_representation_round_trip():
     start = time.perf_counter()
     ok = all(
         rr.representation_check(rr.revision_table(model)) == model
-        for model in ALL_MODELS_4
+        for model in ALL_MODELS_5
     )
     corrupted = dict(rr.revision_table(R2))
     corrupted[U4.prop("ab")] = rr.TotalContent(U4.prop("aB"))  # content outside the input
     ok = ok and rr.representation_check(corrupted) is None
     elapsed = time.perf_counter() - start
-    _report("7 (all 75 revision tables recovered; corrupted table rejected)",
+    _report("7 (all 541 five-world revision tables recovered; corrupted table rejected)",
             ok, f"{elapsed:.2f}s")
 
 

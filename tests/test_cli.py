@@ -130,6 +130,18 @@ def test_degrees_on_ocf_state(capsys):
     assert "as ranking = [aB] [AB Ab] [ab]" in out
 
 
+def test_degrees_on_ocf_state_are_kappa_degrees(capsys, tmp_path):
+    model = tmp_path / "kappa.bel"
+    model.write_text("atoms A B\nworlds auto\nprop A = A\n"
+                     "ocf k = { AB:0 Ab:3 aB:3 ab:5 }\n", encoding="utf-8")
+    code, out, _ = run(capsys, "degrees", "--model", str(model), "--state", "k")
+    assert code == 0
+    # the gap-collapsed ranking would give d(~A) = 1
+    assert "as ranking = [AB] [Ab aB] [ab]" in out
+    assert "d(A) = 0, d(~A) = 3: A is believed" in out
+    assert "degree conditions: pass" in out
+
+
 def test_iterate(capsys, tmp_path):
     script = tmp_path / "steps.txt"
     script.write_text("believe A strength 2\ndisbelieve A\n# done\n", encoding="utf-8")
@@ -148,6 +160,30 @@ def test_iterate_bad_script_line(capsys, tmp_path):
                        "--rule", "lex", str(script))
     assert code == 2
     assert "expected" in err
+
+
+@pytest.mark.parametrize("script, column", [("believe A\nbelieve A & C\n", 13),
+                                            ("believe A\n   believe A & C\n", 16)],
+                         ids=["plain", "indented"])
+def test_iterate_expression_error_column(capsys, tmp_path, script, column):
+    path = tmp_path / "steps.txt"
+    path.write_text(script, encoding="utf-8")
+    code, out, err = run(capsys, "iterate", "--model", FIXTURE, "--state", "r1",
+                         "--rule", "lex", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: 2:{column}: unknown atom 'C'\n"
+
+
+@pytest.mark.parametrize("rule", ["lex", "natural"])
+def test_iterate_strength_needs_strength_rule(capsys, tmp_path, rule):
+    path = tmp_path / "steps.txt"
+    path.write_text("disbelieve A\nbelieve A strength 2\n", encoding="utf-8")
+    code, out, err = run(capsys, "iterate", "--model", FIXTURE, "--state", "r1",
+                         "--rule", rule, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 2:11: strength needs a strength-based rule (spohn:N)\n"
 
 
 def test_missing_model_file(capsys):

@@ -3,6 +3,9 @@
 Equal reports mean equal verdicts, case counts and witnesses, so the first
 failing case is compared too.  Broken operations come from ``conftest`` or
 are patched in here; the references see every patch the checkers see.
+
+Successor sets and representations, which the library builds directly, are
+compared with the references' filter and scan over every ranked model.
 """
 
 import pytest
@@ -14,9 +17,12 @@ import rankrev.verify as verify
 import reference_checkers as reference
 
 from conftest import (
+    ALL_MODELS_4,
     ALL_MODELS_5,
+    U4,
     last_consistent_block,
     max_rank_degree,
+    models_with_input,
     ranked_models,
     reverse_accepted_rule,
 )
@@ -129,3 +135,45 @@ def test_broken_revision_fails_agm_like_reference(monkeypatch, broken):
     assert axioms
     if broken is _pair_reversing_revise:
         assert axioms <= {"B7", "B8"}
+
+
+# ---------------------------------------------------------------------------
+# constructions against the filter and scan over every ranked model
+
+
+def test_successors_match_filter_on_all_four_world_inputs():
+    for model in ALL_MODELS_4:
+        for mask in range(1, 15):
+            for attitude in rr.Attitude:
+                epistemic_input = rr.EpistemicInput(U4.prop_from_mask(mask), attitude)
+                assert (rr.constrained_successors(model, epistemic_input)
+                        == reference.constrained_successors(model, epistemic_input))
+
+
+@settings(max_examples=25, deadline=None)
+@given(models_with_input(max_worlds=6))
+def test_successors_match_filter_up_to_six_worlds(case):
+    model, epistemic_input = case
+    assert (rr.constrained_successors(model, epistemic_input)
+            == reference.constrained_successors(model, epistemic_input))
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A model's revision table with one entry replaced, possibly by a content
+    over a universe with other labels."""
+    model = draw(ranked_models(max_worlds=5))
+    u = model.universe
+    n = len(u.worlds)
+    full = u.tautology().mask
+    table = rr.revision_table(model)
+    key = u.prop_from_mask(draw(st.integers(1, full)))
+    over = u if draw(st.booleans()) else rr.Universe(tuple(f"v{i}" for i in range(n)))
+    table[key] = rr.TotalContent(over.prop_from_mask(draw(st.integers(0, full))))
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_tables())
+def test_representation_matches_scan_on_corrupted_tables(table):
+    assert rr.representation_check(table) == reference.representation_check(table)

@@ -5,7 +5,9 @@ import math
 import pytest
 
 import rankrev as rr
+import rankrev.verify as verify
 from rankrev import Attitude, EpistemicInput, InputError
+from rankrev.cli import render_counterexample
 
 from conftest import (ALL_MODELS_4, U4, max_rank_degree, plain_universe,
                       reverse_accepted_rule)
@@ -22,46 +24,6 @@ def ordered_bell(n: int) -> int:
     if n == 0:
         return 1
     return sum(math.comb(n, k) * ordered_bell(n - k) for k in range(1, n + 1))
-
-
-def _residual_chain(model, side, first_block):
-    """The side's tie-groups, in rank order, minus worlds already in the first block."""
-    out = []
-    for block in model.blocks:
-        group = block.intersect(side).intersect(first_block.complement())
-        if not group.is_empty:
-            out.append(group)
-    return out
-
-
-def _interleavings(xs, ys):
-    """Every order-preserving arrangement: next block takes the next group of
-    one chain, the other, or merges both."""
-    if not xs and not ys:
-        yield []
-        return
-    if xs:
-        for rest in _interleavings(xs[1:], ys):
-            yield [xs[0]] + rest
-    if ys:
-        for rest in _interleavings(xs, ys[1:]):
-            yield [ys[0]] + rest
-    if xs and ys:
-        for rest in _interleavings(xs[1:], ys[1:]):
-            yield [xs[0].union(ys[0])] + rest
-
-
-def direct_successors(model, epistemic_input):
-    """Construct the admissible posteriors without enumerating all models:
-    pin the first block, then interleave the two sides' leftover chains."""
-    prop = epistemic_input.proposition
-    first = rr.required_content(model, epistemic_input).content
-    accepted = _residual_chain(model, prop, first)
-    rejected = _residual_chain(model, prop.complement(), first)
-    return {
-        rr.RankedModel(tuple([first] + rest))
-        for rest in _interleavings(accepted, rejected)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +160,6 @@ def test_constrained_successors_examples(r1, r2, r3, uni):
     assert set(rr.constrained_successors(r3, disbelieve)) == expected
 
 
-def test_constrained_successors_match_direct_construction_everywhere():
-    for model in ALL_MODELS_4:
-        for mask in range(1, 15):
-            prop = U4.prop_from_mask(mask)
-            for attitude in Attitude:
-                epistemic_input = EpistemicInput(prop, attitude)
-                filtered = rr.constrained_successors(model, epistemic_input)
-                assert len(set(filtered)) == len(filtered)
-                assert set(filtered) == direct_successors(model, epistemic_input)
-
-
 def test_constrained_successors_rejects_degenerate(r1, uni):
     with pytest.raises(InputError):
         rr.constrained_successors(r1, EpistemicInput(uni.contradiction(), Attitude.BELIEVE))
@@ -222,7 +173,16 @@ def test_reversibility_fails_at_paper_step(r1):
     report = rr.check_reversibility(rr.lexicographic_rule, r1,
                                     EpistemicInput(A, Attitude.BELIEVE))
     assert not report.passed
-    assert report.witness is not None
+    assert report.cases == len(Attitude)
+    w = report.witness
+    assert w.model == r1 and w.epistemic_input == EpistemicInput(A, Attitude.BELIEVE)
+    # replay: no attitude toward the witness proposition maps the revised model back
+    revised = rr.apply_rule(rr.lexicographic_rule, w.model, w.epistemic_input)
+    prop = w.epistemic_input.proposition
+    assert all(
+        rr.apply_rule(rr.lexicographic_rule, revised, EpistemicInput(prop, att)) != w.model
+        for att in Attitude
+    )
 
 
 def test_reversibility_fixed_point(r3):
@@ -311,6 +271,35 @@ def test_counterexample_verify_generalized_five_worlds():
     assert report.passed
 
 
+def test_counterexample_checker_can_fail_and_witness_replays():
+    # r3 replaced by r2, which is not where believing A sends r1
+    fx = rr.counterexample_fixture()
+    broken = rr.CounterexampleFixture(fx.universe, fx.prop_a, fx.r1, fx.r2, fx.r2)
+    report = rr.counterexample_verify(broken)
+    assert not report.passed
+    w = report.witness
+    assert w.model == fx.r2 and w.proposition == fx.prop_a
+    # replay: the forced successor of r1 is not the witness model
+    believe = EpistemicInput(w.proposition, Attitude.BELIEVE)
+    assert rr.constrained_successors(fx.r1, believe) != (w.model,)
+    assert rr.constrained_successors(fx.r1, believe) == (fx.r3,)
+    assert render_counterexample(report).endswith(
+        f"verdict: FAIL — {w.description}\n")
+
+
+def _forbid_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_ranked_models called")
+
+    monkeypatch.setattr(verify, "enumerate_ranked_models", refuse)
+
+
+@pytest.mark.parametrize("worlds", [4, 5, 6])
+def test_counterexample_never_enumerates(monkeypatch, worlds):
+    _forbid_enumeration(monkeypatch)
+    assert rr.counterexample_verify(rr.counterexample_fixture((worlds - 3, 1, 1, 1))).passed
+
+
 def test_counterexample_fixture_validation():
     with pytest.raises(InputError):
         rr.counterexample_fixture((0, 1, 1, 1))
@@ -345,6 +334,13 @@ def test_representation_single_world():
     assert rr.representation_check(rr.revision_table(model)) == model
 
 
+def test_representation_never_enumerates(monkeypatch):
+    model = rr.RankedModel.from_ranks(plain_universe(7), (3, 0, 6, 1, 5, 2, 4))
+    table = rr.revision_table(model)
+    _forbid_enumeration(monkeypatch)
+    assert rr.representation_check(table, max_worlds=7) == model
+
+
 def test_representation_partial_table_rejected(r2):
     table = rr.revision_table(r2)
     table.pop(U4.prop("AB"))
@@ -360,8 +356,6 @@ def test_representation_partial_table_rejected(r2):
 
 def test_agm_checker_can_fail_and_witness_replays(uni, monkeypatch):
     # break revision via a shim: pretend revision always returns the prior block
-    import rankrev.verify as verify
-
     def broken_revise(model, prop):
         return model.total_content()
 
