@@ -126,6 +126,14 @@ def _ranked_state(model_file: ModelFile, name: str) -> RankedModel:
     raise InputError(f"no ranked state named {name!r} in model file")
 
 
+def _ranked_states(model_file: ModelFile, name: str | None) -> list[tuple[str, RankedModel]]:
+    """The named ranked state, or else every one in the file."""
+    states = [(name, _ranked_state(model_file, name))] if name else list(model_file.rpms.items())
+    if not states:
+        raise InputError("model file declares no ranked states")
+    return states
+
+
 def _cmd_revise(args) -> int:
     mf = load_model(args.model)
     state = _ranked_state(mf, args.state)
@@ -156,8 +164,11 @@ def _parse_script(text: str, model_file: ModelFile, rule: RevisionRule) -> list[
         if strength and not rule.strength_based:
             raise ParseError("strength needs a strength-based rule (spohn:N)",
                              line_no, m.start(3) + 1)
-        steps.append(EpistemicInput(prop, _ATTITUDES[attitude],
-                                    int(strength) if strength else None))
+        try:
+            steps.append(EpistemicInput(prop, _ATTITUDES[attitude],
+                                        int(strength) if strength else None))
+        except InputError as exc:
+            raise ParseError(str(exc), line_no, m.start(3) + 1) from None
     return steps
 
 
@@ -194,12 +205,7 @@ def _cmd_check(args) -> int:
     rule = rule_by_name(args.rule) if args.rule else None
     if needs_rule and rule is None:
         raise InputError(f"--rule is required for {', '.join(needs_rule)}")
-    if args.state:
-        states = [(args.state, _ranked_state(mf, args.state))]
-    else:
-        states = list(mf.rpms.items())
-    if not states:
-        raise InputError("model file declares no ranked states")
+    states = _ranked_states(mf, args.state)
     props = _nondegenerate_props(mf)
     failures = 0
     for axiom in axioms:
@@ -331,12 +337,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_represent(args) -> int:
     mf = load_model(args.model)
-    if args.state:
-        states = [(args.state, _ranked_state(mf, args.state))]
-    else:
-        states = list(mf.rpms.items())
-    if not states:
-        raise InputError("model file declares no ranked states")
+    states = _ranked_states(mf, args.state)
     failures = 0
     for name, state in states:
         recovered = representation_check(revision_table(state), args.max_worlds)

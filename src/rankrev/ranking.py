@@ -60,11 +60,10 @@ class RankedModel:
     @classmethod
     def from_ranks(cls, universe: Universe, ranks: tuple[int, ...]) -> RankedModel:
         """Inverse of :meth:`ranks`; rank values must be 0..k each occupied."""
-        k = max(ranks)
-        masks = [0] * (k + 1)
+        masks = [0] * (max(ranks) + 1)
         for i, r in enumerate(ranks):
             masks[r] |= 1 << i
-        return cls(tuple(Proposition(universe, m) for m in masks))
+        return _from_masks(universe, masks)
 
     @property
     def universe(self) -> Universe:
@@ -74,8 +73,10 @@ class RankedModel:
         """Rank per world index."""
         out = [0] * len(self.universe.worlds)
         for r, block in enumerate(self.blocks):
-            for i in block.indices():
-                out[i] = r
+            m = block.mask
+            while m:
+                out[(m & -m).bit_length() - 1] = r
+                m &= m - 1
         return tuple(out)
 
     def rank_of(self, world: str) -> int:
@@ -149,9 +150,6 @@ class OCF:
             raise InputError("value map must cover exactly the universe's worlds")
         return cls(universe, tuple(values[w] for w in universe.worlds))
 
-    def kappa(self, world: str) -> int:
-        return self.values[self.universe.index(world)]
-
     def degree(self, prop: Proposition) -> int:
         """Minimum value over the proposition's worlds; undefined for the contradiction."""
         if prop.universe != self.universe:
@@ -162,6 +160,10 @@ class OCF:
 
     def __str__(self) -> str:
         return "{" + " ".join(f"{w}:{v}" for w, v in zip(self.universe.worlds, self.values)) + "}"
+
+
+def _from_masks(universe: Universe, masks) -> RankedModel:
+    return RankedModel(tuple(Proposition(universe, m) for m in masks))
 
 
 def rpm_from_ocf(ocf: OCF) -> RankedModel:

@@ -6,15 +6,15 @@ judgment in A yields the intersection of the belief sets that belief and
 disbelief in A would produce, i.e. the union of the two total contents.
 
 A revision rule goes further and produces a whole posterior ranking, not just
-a belief set.  Three concrete rules are provided:
+a belief set, computed on block masks.  Three concrete rules are provided:
 
 * ``lexicographic_rule`` stacks the accepted side above the rejected side,
   each side keeping its internal order; suspension merges the two sides level
   by level.
 * ``natural_rule`` promotes only the minimal accepted worlds to the front and
   leaves everything else in place.
-* ``spohn_rule(alpha)`` round-trips through an OCF: read ranks off the model,
-  conditionalize with the attitude-signed strength, regroup.
+* ``spohn_rule(alpha)`` shifts each side's ranks as OCF conditionalization
+  with the attitude-signed strength would, then regroups.
 
 ``flip_rule`` is a deliberately broken variant of the lexicographic rule that
 inverts the rejected side's internal order.  It exists so the axiom checkers
@@ -29,10 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Callable
 
 from .errors import InputError
-from .ranking import OCF, RankedModel, ocf_from_rpm, rpm_from_ocf
+from .ranking import OCF, RankedModel, _from_masks
 from .worlds import Proposition, TotalContent
 
 
@@ -46,7 +47,7 @@ class Attitude(Enum):
 class EpistemicInput:
     """A proposition plus an attitude toward it.
 
-    ``strength`` is an optional non-negative magnitude used by strength-based
+    ``strength`` is an optional magnitude of at least 1 used by strength-based
     rules; the attitude carries the sign (believe +, disbelieve -, suspend 0).
     """
 
@@ -55,8 +56,10 @@ class EpistemicInput:
     strength: int | None = None
 
     def __post_init__(self):
-        if self.strength is not None and self.strength < 0:
-            raise InputError("strength must be non-negative; the attitude carries the sign")
+        if self.strength is not None and self.attitude is Attitude.SUSPEND:
+            raise InputError("suspend takes no strength")
+        if self.strength is not None and self.strength < 1:
+            raise InputError("strength must be at least 1")
 
     def signed_strength(self, default: int) -> int:
         s = self.strength if self.strength is not None else default
@@ -90,9 +93,7 @@ def suspend_content(model: RankedModel, prop: Proposition) -> TotalContent:
     The union of the two total contents represents the intersection of the
     post-belief and post-disbelief belief sets.
     """
-    after_belief = revise(model, prop).content
-    after_disbelief = revise(model, prop.complement()).content
-    return TotalContent(after_belief.union(after_disbelief))
+    return TotalContent(revise(model, prop).content | revise(model, ~prop).content)
 
 
 def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> TotalContent:
@@ -128,46 +129,41 @@ def apply_rule(rule: RevisionRule, model: RankedModel,
     return rule.transform(model, epistemic_input)
 
 
-def _side_chain(model: RankedModel, side: Proposition) -> list[Proposition]:
-    """The side's worlds grouped by their relative rank, most believable first."""
-    return [b.intersect(side) for b in model.blocks if not b.intersect(side).is_empty]
+def _side_chain(model: RankedModel, side: int) -> list[int]:
+    """The side's worlds grouped by their relative rank, most believable first, as masks."""
+    return [m for m in (block.mask & side for block in model.blocks) if m]
+
+
+def _believed_side(epistemic_input: EpistemicInput) -> int:
+    """The mask of the side an input puts first: the complement for disbelief."""
+    mask = epistemic_input.proposition.mask
+    return ~mask if epistemic_input.attitude is Attitude.DISBELIEVE else mask
 
 
 def _lexicographic(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-    prop = epistemic_input.proposition
-    accepted = _side_chain(model, prop)
-    rejected = _side_chain(model, prop.complement())
-    if epistemic_input.attitude is Attitude.BELIEVE:
-        return RankedModel(tuple(accepted + rejected))
-    if epistemic_input.attitude is Attitude.DISBELIEVE:
-        return RankedModel(tuple(rejected + accepted))
-    # Suspension: merge the sides level by level so neither outranks the other.
-    blocks = []
-    for i in range(max(len(accepted), len(rejected))):
-        block = model.universe.contradiction()
-        if i < len(accepted):
-            block = block.union(accepted[i])
-        if i < len(rejected):
-            block = block.union(rejected[i])
-        blocks.append(block)
-    return RankedModel(tuple(blocks))
+    side = _believed_side(epistemic_input)
+    first, second = _side_chain(model, side), _side_chain(model, ~side)
+    if epistemic_input.attitude is Attitude.SUSPEND:
+        # Merge the sides level by level so neither outranks the other.
+        return _from_masks(model.universe,
+                           [a | b for a, b in zip_longest(first, second, fillvalue=0)])
+    return _from_masks(model.universe, first + second)
 
 
 def _natural(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-    front = required_content(model, epistemic_input).content
-    rest = [b.intersect(front.complement()) for b in model.blocks]
-    return RankedModel(tuple([front] + [b for b in rest if not b.is_empty]))
+    side = _believed_side(epistemic_input)
+    front = _side_chain(model, side)[0]  # the required content, as in ``required_content``
+    if epistemic_input.attitude is Attitude.SUSPEND:
+        front |= _side_chain(model, ~side)[0]
+    return _from_masks(model.universe, [front] + _side_chain(model, ~front))
 
 
 def _flip(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-    prop = epistemic_input.proposition
-    accepted = _side_chain(model, prop)
-    rejected = _side_chain(model, prop.complement())
-    if epistemic_input.attitude is Attitude.BELIEVE:
-        return RankedModel(tuple(accepted + rejected[::-1]))
-    if epistemic_input.attitude is Attitude.DISBELIEVE:
-        return RankedModel(tuple(rejected + accepted[::-1]))
-    return _lexicographic(model, epistemic_input)
+    if epistemic_input.attitude is Attitude.SUSPEND:
+        return _lexicographic(model, epistemic_input)
+    side = _believed_side(epistemic_input)
+    return _from_masks(model.universe,
+                       _side_chain(model, side) + _side_chain(model, ~side)[::-1])
 
 
 lexicographic_rule = RevisionRule("lex", _lexicographic)
@@ -212,20 +208,27 @@ def reverse_strength(ocf: OCF, prop: Proposition) -> int:
 def spohn_rule(alpha: int) -> RevisionRule:
     """Rank-level conditionalization with default strength ``alpha``.
 
-    Reads ranks off the model as an OCF, conditionalizes with the
-    attitude-signed strength (an input's own strength overrides the default),
-    and regroups.  Gap collapsing on the way back makes this rule forget
-    numeric distances, which is why it can be irreversible at the ranking
-    level even though OCF conditionalization itself is reversible.
+    Shifts each side's block ranks, read as an OCF, so the believed side
+    starts at 0 and the other at the strength (an input's own strength
+    overrides the default), then regroups equal ranks: ``spohn_conditionalize``
+    between ``ocf_from_rpm`` and ``rpm_from_ocf``, without building the OCF.
+    Gap collapsing in the regrouping makes this rule forget numeric
+    distances, which is why it can be irreversible at the ranking level even
+    though OCF conditionalization itself is reversible.
     """
     if alpha < 1:
         raise InputError("rule strength must be at least 1; strength 0 would turn "
                          "belief into suspension")
 
     def transform(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-        signed = epistemic_input.signed_strength(alpha)
-        posterior = spohn_conditionalize(ocf_from_rpm(model), epistemic_input.proposition, signed)
-        return rpm_from_ocf(posterior)
+        target = _believed_side(epistemic_input)
+        levels: dict[int, int] = {}
+        for side, floor in ((target, 0), (~target, abs(epistemic_input.signed_strength(alpha)))):
+            chain = [(r, b.mask & side) for r, b in enumerate(model.blocks) if b.mask & side]
+            for r, m in chain:
+                level = r - chain[0][0] + floor
+                levels[level] = levels.get(level, 0) | m
+        return _from_masks(model.universe, [levels[v] for v in sorted(levels)])
 
     return RevisionRule(f"spohn:{alpha}", transform, strength_based=True)
 

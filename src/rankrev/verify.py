@@ -37,7 +37,7 @@ from itertools import product
 from typing import Iterator, Mapping
 
 from .errors import InputError
-from .ranking import OCF, RankedModel, ocf_from_rpm, rpm_from_ocf
+from .ranking import OCF, RankedModel, _from_masks, ocf_from_rpm, rpm_from_ocf
 from .revision import (
     Attitude,
     EpistemicInput,
@@ -48,9 +48,11 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, TotalContent, Universe
+from .worlds import Proposition, TotalContent, Universe, _require_same_universe
 
-DEFAULT_CHECK_BOUND = 5
+DEFAULT_CHECK_BOUND = 8
+# The searches walk every ranked model (Fubini(n)) or every bounded OCF ((m+1)^n).
+DEFAULT_SEARCH_BOUND = 5
 DEFAULT_ENUMERATION_BOUND = 6
 DEFAULT_MAX_STRENGTH = 3
 
@@ -177,7 +179,7 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     and every eligible non-empty B.
 
     The prior's side, ``revise(model, B)``, is tabulated once per
-    proposition; the revised side is computed per case.
+    proposition; each case revises the rule's output on its block masks.
     """
     axiom = axiom.upper()
     if axiom not in ("B9", "B10"):
@@ -185,20 +187,24 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     u = model.universe
     _check_bound(u, max_worlds)
     full = u.tautology().mask
-    props = [u.prop_from_mask(m) for m in range(full + 1)]
-    expected = [revise(model, p).content for p in props]
+    expected = [revise(model, u.prop_from_mask(m)).content.mask for m in range(full + 1)]
     cases = 0
     for a_mask in range(1, full):
-        a = props[a_mask]
+        a = u.prop_from_mask(a_mask)
         revised = apply_rule(rule, model, EpistemicInput(a, Attitude.BELIEVE))
+        _require_same_universe(revised.blocks[0], a)
+        blocks = [block.mask for block in revised.blocks]
         side = a_mask if axiom == "B9" else full ^ a_mask
         for b_mask in _nonempty_submasks(side):
             cases += 1
-            b = props[b_mask]
-            got = revise(revised, b).content
+            for block in blocks:
+                got = block & b_mask
+                if got:
+                    break
             if got != expected[b_mask]:
-                detail = (f"{axiom} violated: believe {a} then revise by {b} "
-                          f"gives {got}, expected {expected[b_mask]}")
+                b = u.prop_from_mask(b_mask)
+                detail = (f"{axiom} violated: believe {a} then revise by {b} gives "
+                          f"{u.prop_from_mask(got)}, expected {u.prop_from_mask(expected[b_mask])}")
                 return AxiomReport(axiom, False, cases,
                                    Witness(detail, model=model, proposition=a, second=b))
     return AxiomReport(axiom, True, cases)
@@ -296,11 +302,11 @@ def enumerate_ranked_models(universe: Universe,
             masks = [0] * k
             for i, r in enumerate(assignment):
                 masks[r] |= 1 << i
-            yield RankedModel(tuple(Proposition(universe, m) for m in masks))
+            yield _from_masks(universe, masks)
 
 
 def enumerate_ocfs(universe: Universe, max_value: int,
-                   max_worlds: int = DEFAULT_CHECK_BOUND) -> Iterator[OCF]:
+                   max_worlds: int = DEFAULT_SEARCH_BOUND) -> Iterator[OCF]:
     """Every normalized OCF with values in 0..max_value, in lexicographic value order."""
     _check_bound(universe, max_worlds)
     n = len(universe.worlds)
@@ -324,18 +330,18 @@ def constrained_successors(model: RankedModel,
         raise InputError("input proposition is over a different universe")
     if prop.is_empty or prop.is_full:
         raise InputError("successor enumeration needs a non-degenerate proposition")
-    first = required_content(model, epistemic_input).content
-    accepted = _side_chain(model, prop & ~first)
-    rejected = _side_chain(model, ~prop & ~first)
+    first = required_content(model, epistemic_input).content.mask
+    accepted = _side_chain(model, prop.mask & ~first)
+    rejected = _side_chain(model, ~prop.mask & ~first)
 
-    def merges(xs: list[Proposition], ys: list[Proposition]) -> list[list[Proposition]]:
+    def merges(xs: list[int], ys: list[int]) -> list[list[int]]:
         if not xs or not ys:
             return [xs + ys]
         return ([[xs[0]] + rest for rest in merges(xs[1:], ys)]
                 + [[ys[0]] + rest for rest in merges(xs, ys[1:])]
                 + [[xs[0] | ys[0]] + rest for rest in merges(xs[1:], ys[1:])])
 
-    successors = [RankedModel(tuple([first] + rest)) for rest in merges(accepted, rejected)]
+    successors = [_from_masks(prop.universe, [first] + m) for m in merges(accepted, rejected)]
     return tuple(sorted(successors, key=lambda m: (len(m.blocks), m.ranks())))
 
 
@@ -392,7 +398,7 @@ def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
 
 def find_irreversibility(rule: RevisionRule, universe: Universe,
                          max_strength: int = DEFAULT_MAX_STRENGTH,
-                         max_worlds: int = DEFAULT_CHECK_BOUND) -> Witness | None:
+                         max_worlds: int = DEFAULT_SEARCH_BOUND) -> Witness | None:
     """First (model, input) pair, in canonical order, that the rule cannot reverse.
 
     For any rule satisfying B9 and B10 over a universe of at least four
@@ -414,7 +420,7 @@ def find_irreversibility(rule: RevisionRule, universe: Universe,
 
 def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_STRENGTH,
                              max_strength: int = DEFAULT_MAX_STRENGTH,
-                             max_worlds: int = DEFAULT_CHECK_BOUND) -> Witness | None:
+                             max_worlds: int = DEFAULT_SEARCH_BOUND) -> Witness | None:
     """Search bounded OCF space for an irreversible conditionalization step.
 
     Returns None whenever the strength bound covers the value bound: at the
@@ -558,12 +564,7 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
 
 def revision_table(model: RankedModel) -> dict[Proposition, TotalContent]:
     """The revision function the model defines, tabulated over non-empty propositions."""
-    u = model.universe
-    full = u.tautology().mask
-    return {
-        u.prop_from_mask(mask): revise(model, u.prop_from_mask(mask))
-        for mask in range(1, full + 1)
-    }
+    return {p: revise(model, p) for p in model.universe.propositions() if not p.is_empty}
 
 
 def representation_check(table: Mapping[Proposition, TotalContent],

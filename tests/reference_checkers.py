@@ -13,6 +13,11 @@ included.
 
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
+
+The rules and ``ranks`` are the object-level versions of the library's
+mask kernel: each side chain is a list of ``Proposition``s, spohn
+round-trips through an ``OCF``, and ranks are read off ``indices()``.  The
+library's rules must return equal posteriors.
 """
 
 from typing import Iterator, Mapping
@@ -24,12 +29,16 @@ from rankrev import (
     InputError,
     Proposition,
     RankedModel,
+    RevisionRule,
     TotalContent,
     Witness,
     apply_rule,
     enumerate_ranked_models,
+    ocf_from_rpm,
     required_content,
     revise,
+    rpm_from_ocf,
+    spohn_conditionalize,
 )
 from rankrev.verify import DEFAULT_CHECK_BOUND, DEFAULT_ENUMERATION_BOUND
 
@@ -193,3 +202,65 @@ def representation_check(table: Mapping[Proposition, TotalContent],
         ):
             return model
     return None
+
+
+def ranks(model: RankedModel) -> tuple[int, ...]:
+    out = [0] * len(model.universe.worlds)
+    for r, block in enumerate(model.blocks):
+        for i in block.indices():
+            out[i] = r
+    return tuple(out)
+
+
+def _side_chain(model: RankedModel, side: Proposition) -> list[Proposition]:
+    return [b.intersect(side) for b in model.blocks if not b.intersect(side).is_empty]
+
+
+def _lexicographic(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
+    prop = epistemic_input.proposition
+    accepted = _side_chain(model, prop)
+    rejected = _side_chain(model, prop.complement())
+    if epistemic_input.attitude is Attitude.BELIEVE:
+        return RankedModel(tuple(accepted + rejected))
+    if epistemic_input.attitude is Attitude.DISBELIEVE:
+        return RankedModel(tuple(rejected + accepted))
+    blocks = []
+    for i in range(max(len(accepted), len(rejected))):
+        block = model.universe.contradiction()
+        if i < len(accepted):
+            block = block.union(accepted[i])
+        if i < len(rejected):
+            block = block.union(rejected[i])
+        blocks.append(block)
+    return RankedModel(tuple(blocks))
+
+
+def _natural(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
+    front = required_content(model, epistemic_input).content
+    rest = [b.intersect(front.complement()) for b in model.blocks]
+    return RankedModel(tuple([front] + [b for b in rest if not b.is_empty]))
+
+
+def _flip(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
+    prop = epistemic_input.proposition
+    accepted = _side_chain(model, prop)
+    rejected = _side_chain(model, prop.complement())
+    if epistemic_input.attitude is Attitude.BELIEVE:
+        return RankedModel(tuple(accepted + rejected[::-1]))
+    if epistemic_input.attitude is Attitude.DISBELIEVE:
+        return RankedModel(tuple(rejected + accepted[::-1]))
+    return _lexicographic(model, epistemic_input)
+
+
+lexicographic_rule = RevisionRule("lex", _lexicographic)
+natural_rule = RevisionRule("natural", _natural)
+flip_rule = RevisionRule("flip", _flip)
+
+
+def spohn_rule(alpha: int) -> RevisionRule:
+    def transform(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
+        signed = epistemic_input.signed_strength(alpha)
+        posterior = spohn_conditionalize(ocf_from_rpm(model), epistemic_input.proposition, signed)
+        return rpm_from_ocf(posterior)
+
+    return RevisionRule(f"spohn:{alpha}", transform, strength_based=True)

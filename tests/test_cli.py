@@ -186,6 +186,52 @@ def test_iterate_strength_needs_strength_rule(capsys, tmp_path, rule):
     assert err == "error: 2:11: strength needs a strength-based rule (spohn:N)\n"
 
 
+@pytest.mark.parametrize("line, message",
+                         [("believe A strength 0", "strength must be at least 1"),
+                          ("disbelieve A strength 0", "strength must be at least 1"),
+                          ("suspend A strength 2", "suspend takes no strength")],
+                         ids=["believe-0", "disbelieve-0", "suspend"])
+def test_iterate_rejects_strength_that_changes_the_attitude(capsys, tmp_path, line, message):
+    path = tmp_path / "steps.txt"
+    path.write_text(f"believe A\n{line}\n", encoding="utf-8")
+    code, out, err = run(capsys, "iterate", "--model", FIXTURE, "--state", "r1",
+                         "--rule", "spohn:1", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: 2:{line.index('strength') + 1}: {message}\n"
+
+
+THREE_ATOMS = ("atoms A B C\nworlds auto\nprop p = A & ~C\nprop q = B | C\n"
+               "rpm s = [ABc abC] [ABC aBc] [AbC] [Abc aBC abc]\n")
+
+
+def test_three_atom_file_runs_under_default_bounds(capsys, tmp_path):
+    model = tmp_path / "three.bel"
+    model.write_text(THREE_ATOMS, encoding="utf-8")
+    code, out, err = run(capsys, "check", "--model", str(model), "--rule", "lex",
+                         "--axioms", "agm,b9,b10,order,degrees,r")
+    assert code in (0, 1), err
+    assert "agm[s]: pass (65792 cases)" in out
+    assert "b9[s]: pass (6050 cases)" in out and "degrees[s]: pass" in out
+    assert run(capsys, "represent", "--model", str(model))[0] == 0
+    assert run(capsys, "degrees", "--model", str(model), "--state", "s")[0] == 0
+
+
+def test_nine_worlds_are_over_the_default_bound(capsys, tmp_path):
+    model = tmp_path / "nine.bel"
+    worlds = "".join(
+        f"world w{i} {{ " + " ".join(f"{a}={str(bool(i >> j & 1)).lower()}"
+                                     for j, a in enumerate("ABCD")) + " }\n"
+        for i in range(9))
+    model.write_text("atoms A B C D\n" + worlds + "rpm s = ["
+                     + " ".join(f"w{i}" for i in range(9)) + "]\n", encoding="utf-8")
+    for argv in (("check", "--axioms", "agm"), ("represent",),
+                 ("degrees", "--state", "s")):
+        code, out, err = run(capsys, *argv, "--model", str(model))
+        assert code == 2
+        assert err == "error: universe has 9 worlds, over the bound of 8\n"
+
+
 def test_missing_model_file(capsys):
     code, _, err = run(capsys, "revise", "--model", "/no/such.bel", "--state", "r1", "A")
     assert code == 2

@@ -6,6 +6,9 @@ are patched in here; the references see every patch the checkers see.
 
 Successor sets and representations, which the library builds directly, are
 compared with the references' filter and scan over every ranked model.
+
+The rules and ``ranks()``, which compute on block masks, are compared with
+the references' object-level bodies, posterior for posterior.
 """
 
 import pytest
@@ -177,3 +180,70 @@ def corrupted_tables(draw):
 @given(corrupted_tables())
 def test_representation_matches_scan_on_corrupted_tables(table):
     assert rr.representation_check(table) == reference.representation_check(table)
+
+
+# ---------------------------------------------------------------------------
+# the mask kernel against the object-level rules and ranks
+
+
+# (library rule, reference rule, input strengths) for every rule
+RULE_PAIRS = ([(rr.lexicographic_rule, reference.lexicographic_rule, (None,)),
+               (rr.natural_rule, reference.natural_rule, (None,)),
+               (rr.flip_rule, reference.flip_rule, (None,))]
+              + [(rr.spohn_rule(alpha), reference.spohn_rule(alpha), (None, 1, 2, 3))
+                 for alpha in (1, 2, 3)])
+
+
+def _inputs(prop, strengths):
+    for attitude in rr.Attitude:
+        for strength in strengths:
+            if strength is None or attitude is not rr.Attitude.SUSPEND:
+                yield rr.EpistemicInput(prop, attitude, strength)
+
+
+@pytest.mark.parametrize("rule, ref, strengths", RULE_PAIRS,
+                         ids=[rule.name for rule, _, _ in RULE_PAIRS])
+def test_rules_match_reference_on_all_four_world_inputs(rule, ref, strengths):
+    for model in ALL_MODELS_4:
+        for mask in range(1, 15):
+            for epistemic_input in _inputs(U4.prop_from_mask(mask), strengths):
+                assert rule(model, epistemic_input) == ref(model, epistemic_input)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_with_input(max_worlds=7), st.sampled_from(RULE_PAIRS), st.integers(1, 3))
+def test_rules_match_reference_up_to_seven_worlds(case, pair, strength):
+    model, epistemic_input = case
+    rule, ref, _ = pair
+    assert rule(model, epistemic_input) == ref(model, epistemic_input)
+    if rule.strength_based and epistemic_input.attitude is not rr.Attitude.SUSPEND:
+        strong = rr.EpistemicInput(epistemic_input.proposition, epistemic_input.attitude,
+                                   strength)
+        assert rule(model, strong) == ref(model, strong)
+
+
+def test_ranks_match_reference_on_all_five_world_models():
+    for model in ALL_MODELS_5:
+        assert model.ranks() == reference.ranks(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_models(max_worlds=8))
+def test_ranks_match_reference_up_to_eight_worlds(model):
+    assert model.ranks() == reference.ranks(model)
+
+
+def _other_universe_lex(model, epistemic_input):
+    """Lexicographic revision, moved onto a universe with other labels."""
+    revised = rr.lexicographic_rule(model, epistemic_input)
+    other = rr.Universe(tuple(f"v{i}" for i in range(len(model.universe.worlds))))
+    return rr.RankedModel.from_ranks(other, revised.ranks())
+
+
+@pytest.mark.parametrize("axiom", ["B9", "B10"])
+def test_iteration_rejects_rule_output_over_another_universe(axiom):
+    rule = rr.RevisionRule("other-universe", _other_universe_lex)
+    model = ALL_MODELS_4[20]
+    for check in (rr.check_iteration_axiom, reference.check_iteration_axiom):
+        with pytest.raises(rr.InputError, match="operands are over different universes"):
+            check(rule, axiom, model, 5)

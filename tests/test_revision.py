@@ -101,6 +101,14 @@ def test_reverse_strength(uni, k1, prop_a):
 def test_strength_must_be_magnitude(prop_a):
     with pytest.raises(InputError):
         EpistemicInput(prop_a, Attitude.BELIEVE, -1)
+    # strength 0 would turn belief or disbelief into suspension
+    for attitude in (Attitude.BELIEVE, Attitude.DISBELIEVE):
+        with pytest.raises(InputError, match="strength must be at least 1"):
+            EpistemicInput(prop_a, attitude, 0)
+        assert EpistemicInput(prop_a, attitude, 1).strength == 1
+    with pytest.raises(InputError, match="suspend takes no strength"):
+        EpistemicInput(prop_a, Attitude.SUSPEND, 2)
+    assert EpistemicInput(prop_a, Attitude.SUSPEND).signed_strength(3) == 0
 
 
 def test_rule_by_name():

@@ -81,9 +81,10 @@ def test_check_agm_single_world():
 
 
 def test_check_agm_bound():
-    u = plain_universe(6)
-    with pytest.raises(InputError):
-        rr.check_agm(rr.RankedModel((u.tautology(),)))
+    # The default bound is 8 worlds, three atoms.
+    assert rr.check_agm(rr.RankedModel((plain_universe(8).tautology(),))).passed
+    with pytest.raises(InputError, match="over the bound of 8"):
+        rr.check_agm(rr.RankedModel((plain_universe(9).tautology(),)))
 
 
 def test_check_degree_conditions(r1, r3):
