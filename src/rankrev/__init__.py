@@ -7,7 +7,7 @@ irreversibility of ranking-level belief change at desk scale.
 """
 
 from .errors import InputError, ParseError
-from .expressions import Expression, parse_expression
+from .expressions import parse_expression
 from .modelfile import ModelFile, format_model, load_model, parse_model, resolve_proposition
 from .ranking import (
     OCF,
@@ -63,7 +63,6 @@ __all__ = [
     "CounterexampleFixture",
     "CounterexampleReport",
     "EpistemicInput",
-    "Expression",
     "InputError",
     "ModelFile",
     "OCF",

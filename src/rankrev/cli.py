@@ -43,7 +43,7 @@ from .worlds import Proposition, Universe
 
 _ATTITUDES = {"believe": Attitude.BELIEVE, "disbelieve": Attitude.DISBELIEVE,
               "suspend": Attitude.SUSPEND}
-_SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+(\d+))?\s*")
+_SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+([0-9]+))?\s*")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -192,13 +192,10 @@ class _ModelReader:
                 raise ParseError("expected '{ LABEL ... }'", line_no)
             self.props[name] = self._labels_to_prop(line_no, m.group(1).split())
             return
-        if not self.universe.atoms or self.universe.valuations is None:
-            raise ParseError("expression propositions need atoms with valuations", line_no)
         try:
-            expr = parse_expression(rest, self.universe.atoms, line=line_no)
+            self.props[name] = parse_expression(rest, self.universe, line=line_no)
         except ParseError as exc:
             raise ParseError(exc.message, line_no, exc.column + offset) from None
-        self.props[name] = expr.denotation(self.universe)
 
     def _rpm(self, line_no: int, name: str, rest: str):
         blocks = _BLOCK.findall(rest)
@@ -224,7 +221,7 @@ class _ModelReader:
             label, num = token.rsplit(":", 1)
             if label in values:
                 raise ParseError(f"world {label!r} assigned twice", line_no)
-            if not num.isdigit():
+            if not (num.isascii() and num.isdigit()):
                 raise ParseError(f"bad value {num!r} for world {label!r}", line_no)
             if label not in self.universe.worlds:
                 raise ParseError(f"unknown world {label!r}", line_no)
@@ -266,8 +263,4 @@ def resolve_proposition(model_file: ModelFile, text: str) -> Proposition:
     name = text.strip()
     if name in model_file.props:
         return model_file.props[name]
-    u = model_file.universe
-    if not u.atoms or u.valuations is None:
-        raise InputError(f"{name!r} is not a declared proposition and the universe "
-                         "has no atoms to parse it against")
-    return parse_expression(text, u.atoms).denotation(u)
+    return parse_expression(text, model_file.universe)

@@ -94,6 +94,11 @@ def _check_bound(universe: Universe, max_worlds: int):
         )
 
 
+def _check_strength_bound(max_strength: int):
+    if max_strength < 0:
+        raise InputError("max strength must be at least 0")
+
+
 def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> AxiomReport:
     """Check the eight single-step axioms exhaustively on one ranked model.
 
@@ -369,6 +374,7 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
     one maps the revised model back to the original.  The successful reversal
     input is reported.
     """
+    _check_strength_bound(max_strength)
     revised = apply_rule(rule, model, epistemic_input)
     cases = 0
     for candidate in _reversal_candidates(rule, epistemic_input.proposition, max_strength):
@@ -384,6 +390,7 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
 def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
                             max_strength: int = DEFAULT_MAX_STRENGTH) -> AxiomReport:
     """OCF-level reversibility: search signed strengths for one that restores ``ocf``."""
+    _check_strength_bound(max_strength)
     conditioned = spohn_conditionalize(ocf, prop, alpha)
     cases = 0
     for beta in range(-max_strength, max_strength + 1):
@@ -427,6 +434,7 @@ def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_ST
     numeric level every step is undone by the difference of the two sides'
     prior degrees.
     """
+    _check_strength_bound(max_strength)
     full = universe.tautology().mask
     for ocf in enumerate_ocfs(universe, max_value, max_worlds):
         for a_mask in range(1, full):
@@ -507,6 +515,7 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
     not help: both starts induce equal degrees, and strength-conditioning the
     successor never reaches both.
     """
+    _check_strength_bound(max_strength)
     fx = fixture if fixture is not None else counterexample_fixture()
     a = fx.prop_a
     believe = EpistemicInput(a, Attitude.BELIEVE)

@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from hypothesis import strategies as st
 
 import rankrev as rr
@@ -85,6 +86,31 @@ def models_with_input(draw, min_worlds=2, max_worlds=5):
     mask = draw(st.integers(1, (1 << n) - 2))
     attitude = draw(st.sampled_from(list(rr.Attitude)))
     return model, rr.EpistemicInput(model.universe.prop_from_mask(mask), attitude)
+
+
+# Random expression trees over the given atoms, rendered with the fewest
+# parentheses the grammar needs plus redundant ones, and with '->' chains
+# left bare on the right.  Each node is (text, binding level, sympy formula),
+# levels being 0 for '->', 1 for '|', 2 for '&' and 3 for a unary form.
+def expressions(atoms):
+    def wrap(node, level):
+        text, node_level, _ = node
+        return text if node_level >= level else f"({text})"
+
+    def extend(sub):
+        return st.one_of(
+            sub.map(lambda x: ("~" + wrap(x, 3), 3, sympy.Not(x[2]))),
+            sub.map(lambda x: (f"({x[0]})", 3, x[2])),
+            st.tuples(sub, sub).map(lambda p: (
+                f"{wrap(p[0], 2)} & {wrap(p[1], 2)}", 2, sympy.And(p[0][2], p[1][2]))),
+            st.tuples(sub, sub).map(lambda p: (
+                f"{wrap(p[0], 1)} | {wrap(p[1], 1)}", 1, sympy.Or(p[0][2], p[1][2]))),
+            st.tuples(sub, sub).map(lambda p: (
+                f"{wrap(p[0], 1)} -> {wrap(p[1], 0)}", 0, sympy.Implies(p[0][2], p[1][2]))),
+        )
+
+    leaves = st.sampled_from(atoms).map(lambda a: (a, 3, sympy.Symbol(a)))
+    return st.recursive(leaves, extend, max_leaves=12)
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,9 @@ def test_criterion_7_representation_round_trip():
 
 
 def test_criterion_8_parser_and_cli(capsys):
-    atoms = ("A", "B")
-    denotes = rr.parse_expression("A & ~B", atoms).denotation(U4) == U4.prop("Ab")
-    denotes = denotes and rr.parse_expression("~(A | B)", atoms).denotation(U4) == U4.prop("ab")
-    denotes = denotes and (rr.parse_expression("A -> B", atoms).denotation(U4)
-                           == U4.prop("AB", "aB", "ab"))
+    denotes = rr.parse_expression("A & ~B", U4) == U4.prop("Ab")
+    denotes = denotes and rr.parse_expression("~(A | B)", U4) == U4.prop("ab")
+    denotes = denotes and rr.parse_expression("A -> B", U4) == U4.prop("AB", "aB", "ab")
     try:
         rr.parse_model("atoms A B\nworlds auto\nrpm bad = [AB Ab] [Ab aB ab]\n")
         load_errors = False

@@ -201,6 +201,49 @@ def test_iterate_rejects_strength_that_changes_the_attitude(capsys, tmp_path, li
     assert err == f"error: 2:{line.index('strength') + 1}: {message}\n"
 
 
+def test_script_strength_must_be_ascii_digits(capsys, tmp_path):
+    path = tmp_path / "steps.txt"
+    path.write_text("believe A strength \u0663\n", encoding="utf-8")
+    code, out, err = run(capsys, "iterate", "--model", FIXTURE, "--state", "r1",
+                         "--rule", "spohn:1", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: 1:20: unexpected character '\u0663'\n"
+
+
+@pytest.mark.parametrize("command", [("degrees", "--state", "k"), ("check",)],
+                         ids=["degrees", "check"])
+def test_ocf_value_with_non_ascii_digit_is_input_error(capsys, tmp_path, command):
+    model = tmp_path / "bad.bel"
+    model.write_text("atoms A\nworlds auto\nocf k = { A:\u00b2 a:0 }\n", encoding="utf-8")
+    code, out, err = run(capsys, command[0], "--model", str(model), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: 3:1: bad value '\u00b2' for world 'A'\n"
+
+
+@pytest.mark.parametrize("argv", [("check", "--model", FIXTURE, "--rule", "spohn:1",
+                                   "--axioms", "r", "--max-strength", "-1"),
+                                  ("counterexample", "--max-strength", "-1")],
+                         ids=["check-r", "counterexample"])
+def test_negative_max_strength_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: max strength must be at least 0\n"
+
+
+def test_zero_max_strength_is_valid(capsys):
+    code, out, _ = run(capsys, "counterexample", "--max-strength", "0")
+    assert code == 0
+    assert "    +0 -> " in out
+    # with strength 0 only suspension is tried, and it cannot undo belief
+    code, out, _ = run(capsys, "check", "--model", FIXTURE, "--rule", "spohn:1",
+                       "--axioms", "r", "--max-strength", "0")
+    assert code == 1
+    assert out.startswith("r[r1]: FAIL — believe A is irreversible\n")
+
+
 THREE_ATOMS = ("atoms A B C\nworlds auto\nprop p = A & ~C\nprop q = B | C\n"
                "rpm s = [ABc abC] [ABC aBc] [AbC] [Abc aBC abc]\n")
 

@@ -2,9 +2,13 @@
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankrev as rr
-from rankrev import ParseError, parse_expression
+from rankrev import InputError, ParseError, parse_expression
+
+from conftest import expressions
 
 
 U2 = rr.Universe.from_atoms(("A", "B"))
@@ -12,7 +16,7 @@ U3 = rr.Universe.from_atoms(("A", "B", "C"))
 
 
 def denote(text, universe=U2):
-    return parse_expression(text, universe.atoms).denotation(universe)
+    return parse_expression(text, universe)
 
 
 def test_spec_denotations():
@@ -53,7 +57,7 @@ def test_parentheses_and_nesting():
 
 def test_unknown_atom_position():
     with pytest.raises(ParseError) as exc:
-        parse_expression("A & nope", ("A", "B"))
+        parse_expression("A & nope", U2)
     assert exc.value.column == 5
     assert "unknown atom" in str(exc.value)
 
@@ -61,7 +65,7 @@ def test_unknown_atom_position():
 def test_syntax_errors():
     for bad in ("", "A &", "& A", "(A", "A)", "A ~ B", "A -> -> B", "A ? B"):
         with pytest.raises(ParseError):
-            parse_expression(bad, ("A", "B"))
+            parse_expression(bad, U2)
 
 
 def _nested(kind, levels):
@@ -82,13 +86,20 @@ def test_nesting_limit(kind):
                 "implies": U2.tautology()}[kind]
     assert denote(_nested(kind, limit)) == expected
     with pytest.raises(ParseError) as exc:
-        parse_expression(_nested(kind, limit + 1), ("A", "B"))
+        parse_expression(_nested(kind, limit + 1), U2)
     assert "nested deeper than" in exc.value.message
+
+
+def test_expression_needs_valuations():
+    with pytest.raises(InputError) as exc:
+        parse_expression("A", rr.Universe(("w1", "w2"), atoms=("A",)))
+    assert not isinstance(exc.value, ParseError)
+    assert "valuations" in str(exc.value)
 
 
 def test_line_is_threaded_into_diagnostics():
     with pytest.raises(ParseError) as exc:
-        parse_expression("A | |", ("A",), line=7)
+        parse_expression("A | |", rr.Universe.from_atoms(("A",)), line=7)
     assert exc.value.line == 7
 
 
@@ -118,3 +129,28 @@ def test_denotation_matches_truth_table_oracle(text):
         valuation = U2.valuation_of(label)
         expected = bool(oracle.subs({syms[a]: v for a, v in valuation.items()}))
         assert got.has(label) == expected, f"{text} at {label}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions(U3.atoms))
+def test_random_trees_match_truth_table_oracle(node):
+    text, _, formula = node
+    got = parse_expression(text, U3)
+    for label in U3.worlds:
+        valuation = U3.valuation_of(label)
+        expected = bool(formula.xreplace(
+            {sympy.Symbol(a): sympy.true if v else sympy.false for a, v in valuation.items()}))
+        assert got.has(label) == expected, f"{text} at {label}"
+
+
+PIECES = ["A", "B", "C", "D", "x_1", "~", "&", "|", "->", "-", ">", "(", ")", " ", "?", "²", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=30), st.lists(st.sampled_from(PIECES), max_size=30).map("".join)))
+def test_parser_raises_only_parse_errors(text):
+    try:
+        result = parse_expression(text, U3)
+    except ParseError:
+        return
+    assert result.universe == U3

@@ -1,11 +1,17 @@
 """Model file loading, validation diagnostics, and print/reload round trips."""
 
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankrev as rr
-from rankrev import ParseError, format_model, load_model, parse_model, resolve_proposition
+from rankrev import (InputError, ModelFile, ParseError, format_model, load_model, parse_model,
+                     resolve_proposition)
+
+from conftest import collapse, expressions
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.bel"
 
@@ -54,6 +60,15 @@ def test_overlapping_blocks_name_partition_and_line():
 def test_non_normalized_ocf():
     err = _error_of("atoms A\nworlds auto\nocf k = { A:1 a:2 }\n")
     assert "not normalized" in str(err)
+    assert err.line == 3
+
+
+@pytest.mark.parametrize("value", ["\u00b2", "\u0663", "1\u00b2", "-1", "1.0"],
+                         ids=["superscript-two", "arabic-indic-three", "digit-superscript",
+                              "negative", "decimal"])
+def test_ocf_value_must_be_ascii_digits(value):
+    err = _error_of(f"atoms A\nworlds auto\nocf k = {{ A:{value} a:0 }}\n")
+    assert err.message == f"bad value {value!r} for world 'A'"
     assert err.line == 3
 
 
@@ -122,3 +137,94 @@ def test_resolve_proposition():
     assert resolve_proposition(mf, "A | ~A").is_full
     with pytest.raises(ParseError):
         resolve_proposition(mf, "A & Z")
+
+
+def test_resolve_proposition_needs_valuations():
+    universe = rr.Universe(("w1", "w2"))
+    mf = ModelFile(universe, props={"p": universe.prop("w1")})
+    assert resolve_proposition(mf, "p") == universe.prop("w1")
+    with pytest.raises(InputError) as exc:
+        resolve_proposition(mf, "w1 & w2")
+    assert not isinstance(exc.value, ParseError)
+    assert "valuations" in str(exc.value)
+
+
+# Arbitrary text, and lines shaped like declarations whose parts mix valid
+# and broken pieces (non-ASCII digits among them), must load or give a
+# ParseError, never another exception.
+LABELS = st.sampled_from(["AB", "Ab", "aB", "ab", "A", "Z"])
+VALUES = st.one_of(st.sampled_from(["0", "12", "true", "\u00b2", "\u0663"]), st.text(max_size=2))
+WORDS = st.one_of(LABELS, VALUES, st.sampled_from(
+    ["atoms", "worlds", "auto", "world", "prop", "rpm", "ocf", "=", "{", "}", "[", "]", ":",
+     "~", "&", "->", "(", ")", "#"]))
+OCF_ENTRIES = st.one_of(
+    st.sampled_from(["AB:0", "Ab:1", "aB:\u00b2", "ab:\u0663"]),
+    st.tuples(st.sampled_from(["AB", "Ab", "aB", "ab", "Z"]), VALUES).map(":".join),
+)
+LINES = st.one_of(
+    st.lists(WORDS, max_size=8).map(" ".join),
+    st.builds("world {} {{ {} }}".format, LABELS,
+              st.lists(st.tuples(st.sampled_from(["A", "B"]), VALUES).map("=".join),
+                       max_size=3).map(" ".join)),
+    st.lists(OCF_ENTRIES, min_size=1, max_size=5).map(
+        lambda entries: "ocf k = { " + " ".join(entries) + " }"),
+    st.builds("{} p = {}".format, st.sampled_from(["prop", "rpm", "ocf"]),
+              st.lists(WORDS, max_size=6).map(" ".join)),
+)
+MODEL_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.lists(LINES, min_size=1, max_size=4).map(
+        lambda lines: "atoms A B\nworlds auto\n" + "\n".join(lines)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(MODEL_TEXTS)
+def test_model_parser_raises_only_parse_errors(text):
+    try:
+        parse_model(text)
+    except ParseError:
+        pass
+
+
+@st.composite
+def model_texts(draw):
+    """A loadable model file with explicit or auto worlds, props, rpms and ocfs."""
+    atoms = draw(st.sampled_from([("A",), ("A", "B"), ("A", "B", "C"), ("p", "q_1")]))
+    lines = ["atoms " + " ".join(atoms)]
+    if len(atoms[-1]) == 1 and draw(st.booleans()):
+        lines.append("worlds auto")
+        labels = rr.Universe.from_atoms(atoms).worlds
+    else:
+        rows = draw(st.lists(st.sampled_from(list(product((True, False), repeat=len(atoms)))),
+                             min_size=1, unique=True))
+        labels = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                               min_size=len(rows), max_size=len(rows), unique=True))
+        for label, row in zip(labels, rows):
+            body = " ".join(f"{a}={'true' if v else 'false'}" for a, v in zip(atoms, row))
+            lines.append(f"world {label} {{ {body} }}")
+    n = len(labels)
+    for i in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            lines.append(f"prop p{i} = " + draw(expressions(atoms))[0])
+        else:
+            members = draw(st.lists(st.sampled_from(labels), unique=True))
+            lines.append(f"prop p{i} = {{ {' '.join(members)} }}")
+    for i in range(draw(st.integers(0, 2))):
+        ranks = collapse(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        blocks = [[w for w, r in zip(labels, ranks) if r == k] for k in range(max(ranks) + 1)]
+        lines.append(f"rpm r{i} = " + " ".join(f"[{' '.join(b)}]" for b in blocks))
+    for i in range(draw(st.integers(0, 2))):
+        values = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        body = " ".join(f"{w}:{v - min(values)}" for w, v in zip(labels, values))
+        lines.append(f"ocf k{i} = {{ {body} }}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_texts())
+def test_format_then_parse_is_identity(text):
+    model_file = parse_model(text)
+    printed = format_model(model_file)
+    assert parse_model(printed) == model_file
+    assert format_model(parse_model(printed)) == printed

@@ -206,6 +206,23 @@ def test_ocf_reversibility_fails_outside_bound(k1):
     assert not report.passed
 
 
+def test_negative_max_strength_is_input_error(r1, k1):
+    believe_a = EpistemicInput(A, Attitude.BELIEVE)
+    calls = [lambda m: rr.check_reversibility(rr.spohn_rule(1), r1, believe_a, m),
+             lambda m: rr.check_reversibility(rr.lexicographic_rule, r1, believe_a, m),
+             lambda m: rr.check_ocf_reversibility(k1, A, 0, m),
+             lambda m: rr.counterexample_verify(max_strength=m),
+             lambda m: rr.find_ocf_irreversibility(U4, max_value=1, max_strength=m)]
+    for call in calls:
+        with pytest.raises(InputError, match="max strength must be at least 0"):
+            call(-1)
+    # zero is a valid bound: only the zero strength (suspension) is tried
+    report = rr.check_reversibility(rr.spohn_rule(1), r1, believe_a, 0)
+    assert report.cases == 1
+    assert rr.check_ocf_reversibility(k1, A, 0, 0).cases == 1
+    assert rr.counterexample_verify(max_strength=0).strength_outputs[0][0] == 0
+
+
 @pytest.mark.parametrize("rule", [rr.lexicographic_rule, rr.natural_rule, rr.spohn_rule(1)],
                          ids=lambda r: r.name)
 def test_find_irreversibility_returns_replayable_witness(rule):
