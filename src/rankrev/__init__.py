@@ -53,7 +53,7 @@ from .verify import (
     representation_check,
     revision_table,
 )
-from .worlds import Proposition, TotalContent, Universe
+from .worlds import Proposition, Universe
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "Proposition",
     "RankedModel",
     "RevisionRule",
-    "TotalContent",
     "Universe",
     "Witness",
     "apply_rule",

@@ -28,6 +28,7 @@ from .verify import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_MAX_STRENGTH,
     CounterexampleReport,
+    _check_strength_bound,
     check_agm,
     check_degree_conditions,
     check_iteration_axiom,
@@ -138,12 +139,13 @@ def _cmd_revise(args) -> int:
     mf = load_model(args.model)
     state = _ranked_state(mf, args.state)
     prop = resolve_proposition(mf, args.prop)
-    print(f"state {args.state} = {state}")
-    print(f"revise by {prop}: content = {revise(state, prop)}")
+    lines = [f"state {args.state} = {state}",
+             f"revise by {prop}: content = {revise(state, prop)}"]
     if args.rule:
         rule = rule_by_name(args.rule)
         posterior = apply_rule(rule, state, EpistemicInput(prop, Attitude.BELIEVE))
-        print(f"posterior ({rule.name}) = {posterior}")
+        lines.append(f"posterior ({rule.name}) = {posterior}")
+    print("\n".join(lines))
     return 0
 
 
@@ -185,7 +187,7 @@ def _cmd_iterate(args) -> int:
     for i, step in enumerate(steps, start=1):
         state = apply_rule(rule, state, step)
         print(f"step {i}: {step} -> {state}")
-    print(f"final content = {state.total_content()}")
+    print(f"final content = {state.blocks[0]}")
     return 0
 
 
@@ -195,6 +197,7 @@ def _nondegenerate_props(model_file: ModelFile) -> list[tuple[str, Proposition]]
 
 
 def _cmd_check(args) -> int:
+    _check_strength_bound(args.max_strength)
     mf = load_model(args.model)
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
     known = ("agm", "b9", "b10", "order", "degrees", "r")

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Mapping
 
 from .errors import InputError
-from .worlds import Proposition, TotalContent, Universe, _require_same_universe
+from .worlds import Proposition, Universe, _require_same_universe
 
 
 class Preference(Enum):
@@ -60,6 +60,8 @@ class RankedModel:
     @classmethod
     def from_ranks(cls, universe: Universe, ranks: tuple[int, ...]) -> RankedModel:
         """Inverse of :meth:`ranks`; rank values must be 0..k each occupied."""
+        if len(ranks) != len(universe.worlds) or any(type(r) is not int or r < 0 for r in ranks):
+            raise InputError("one non-negative int rank per world required")
         masks = [0] * (max(ranks) + 1)
         for i, r in enumerate(ranks):
             masks[r] |= 1 << i
@@ -85,10 +87,6 @@ class RankedModel:
             if block.mask >> i & 1:
                 return r
         raise AssertionError("unreachable: blocks cover the universe")
-
-    def total_content(self) -> TotalContent:
-        """What the agent believes outright: the first block."""
-        return TotalContent(self.blocks[0])
 
     def first_consistent_block(self, prop: Proposition) -> int | None:
         """Index of the first block meeting ``prop``; None iff ``prop`` is empty."""
@@ -139,7 +137,7 @@ class OCF:
     def __post_init__(self):
         if len(self.values) != len(self.universe.worlds):
             raise InputError("one value per world required")
-        if any(v < 0 or not isinstance(v, int) for v in self.values):
+        if any(type(v) is not int or v < 0 for v in self.values):
             raise InputError("values must be natural numbers")
         if min(self.values) != 0:
             raise InputError("not normalized: minimum value must be 0")

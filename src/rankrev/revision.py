@@ -1,9 +1,9 @@
 """Single-step revision, suspension, and rules for revising whole rankings.
 
-Revising a ranked model by a non-empty proposition A makes the new total
+Revising a ranked model by a non-empty proposition A makes the new belief
 content E_i ∩ A, where E_i is the first block consistent with A.  Suspending
 judgment in A yields the intersection of the belief sets that belief and
-disbelief in A would produce, i.e. the union of the two total contents.
+disbelief in A would produce, i.e. the union of the two contents.
 
 A revision rule goes further and produces a whole posterior ranking, not just
 a belief set, computed on block masks.  Three concrete rules are provided:
@@ -27,6 +27,7 @@ implementation's choice, constrained to reproduce the suspended belief set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
@@ -34,7 +35,7 @@ from typing import Callable
 
 from .errors import InputError
 from .ranking import OCF, RankedModel, _from_masks
-from .worlds import Proposition, TotalContent
+from .worlds import Proposition
 
 
 class Attitude(Enum):
@@ -76,27 +77,28 @@ class EpistemicInput:
         return text
 
 
-def revise(model: RankedModel, prop: Proposition) -> TotalContent:
-    """New total content after coming to believe ``prop``: E_i ∩ prop.
+def revise(model: RankedModel, prop: Proposition) -> Proposition:
+    """The belief content after coming to believe ``prop``: E_i ∩ prop.
 
-    Empty content results exactly when ``prop`` is the contradiction.
+    The new belief set is every proposition the returned content entails.
+    The content is empty exactly when ``prop`` is the contradiction.
     """
     i = model.first_consistent_block(prop)
     if i is None:
-        return TotalContent(model.universe.contradiction())
-    return TotalContent(model.blocks[i].intersect(prop))
+        return model.universe.contradiction()
+    return model.blocks[i].intersect(prop)
 
 
-def suspend_content(model: RankedModel, prop: Proposition) -> TotalContent:
-    """What remains believed when judgment in ``prop`` is suspended.
+def suspend_content(model: RankedModel, prop: Proposition) -> Proposition:
+    """The belief content that remains when judgment in ``prop`` is suspended.
 
-    The union of the two total contents represents the intersection of the
+    The union of the two revised contents represents the intersection of the
     post-belief and post-disbelief belief sets.
     """
-    return TotalContent(revise(model, prop).content | revise(model, ~prop).content)
+    return revise(model, prop) | revise(model, ~prop)
 
 
-def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> TotalContent:
+def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Proposition:
     """The belief content any rule must produce for the given input."""
     prop = epistemic_input.proposition
     if epistemic_input.attitude is Attitude.BELIEVE:
@@ -242,9 +244,8 @@ def rule_by_name(text: str) -> RevisionRule:
     if text == "flip":
         return flip_rule
     if text.startswith("spohn:"):
-        try:
-            alpha = int(text.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"bad rule strength in {text!r}") from None
-        return spohn_rule(alpha)
+        m = re.fullmatch(r"spohn:([0-9]+)", text)
+        if not m:
+            raise InputError(f"bad rule strength in {text!r}")
+        return spohn_rule(int(m.group(1)))
     raise InputError(f"unknown rule {text!r} (expected lex, natural, flip, or spohn:N)")

@@ -19,7 +19,7 @@ The checkers cover three layers:
   rule satisfying the iteration axioms can always be reversed
   (``counterexample_verify``).
 
-Belief-set containment is always checked through its total-content reversal:
+Belief-set containment is always checked through its reversal on contents:
 belief set of T1 is contained in that of T2 exactly when T2 ⊆ T1.
 
 The checkers that walk proposition pairs tabulate each per-proposition value
@@ -48,7 +48,7 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, TotalContent, Universe, _require_same_universe
+from .worlds import Proposition, Universe, _require_same_universe
 
 DEFAULT_CHECK_BOUND = 8
 # The searches walk every ranked model (Fubini(n)) or every bounded OCF ((m+1)^n).
@@ -103,7 +103,7 @@ def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> Axio
     """Check the eight single-step axioms exhaustively on one ranked model.
 
     B1-B6 run over every proposition, B7/B8 over every ordered pair.  B1
-    holds by representation (revision always yields a total content, whose
+    holds by representation (revision always yields a belief content, whose
     belief set is deductively closed), so it reduces to a structural check.
 
     ``revise`` is called once per proposition (twice, for B6) to build the
@@ -120,8 +120,8 @@ def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> Axio
     for a in range(size):
         cases += 1
         prop = u.prop_from_mask(a)
-        content = revise(model, prop).content
-        # B1: the result is a total content over the same universe.
+        content = revise(model, prop)
+        # B1: the result is a belief content over the same universe.
         if content.universe != u:
             return _agm_fail("B1", model, a, None, cases)
         t_a = content.mask
@@ -140,7 +140,7 @@ def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> Axio
         if (t_a == 0) != (a == 0):
             return _agm_fail("B5", model, a, None, cases)
         # B6: set-propositions make logical equivalence plain identity.
-        if revise(model, prop).content != content:
+        if revise(model, prop) != content:
             return _agm_fail("B6", model, a, None, cases)
     for a in range(size):
         t_a = t[a]
@@ -192,7 +192,7 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     u = model.universe
     _check_bound(u, max_worlds)
     full = u.tautology().mask
-    expected = [revise(model, u.prop_from_mask(m)).content.mask for m in range(full + 1)]
+    expected = [revise(model, u.prop_from_mask(m)).mask for m in range(full + 1)]
     cases = 0
     for a_mask in range(1, full):
         a = u.prop_from_mask(a_mask)
@@ -335,7 +335,7 @@ def constrained_successors(model: RankedModel,
         raise InputError("input proposition is over a different universe")
     if prop.is_empty or prop.is_full:
         raise InputError("successor enumeration needs a non-degenerate proposition")
-    first = required_content(model, epistemic_input).content.mask
+    first = required_content(model, epistemic_input).mask
     accepted = _side_chain(model, prop.mask & ~first)
     rejected = _side_chain(model, ~prop.mask & ~first)
 
@@ -571,12 +571,12 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
         strength_outputs=strength_outputs)
 
 
-def revision_table(model: RankedModel) -> dict[Proposition, TotalContent]:
+def revision_table(model: RankedModel) -> dict[Proposition, Proposition]:
     """The revision function the model defines, tabulated over non-empty propositions."""
     return {p: revise(model, p) for p in model.universe.propositions() if not p.is_empty}
 
 
-def representation_check(table: Mapping[Proposition, TotalContent],
+def representation_check(table: Mapping[Proposition, Proposition],
                          max_worlds: int = DEFAULT_CHECK_BOUND) -> RankedModel | None:
     """Find the ranked model defining a revision table, if one exists.
 
@@ -595,7 +595,7 @@ def representation_check(table: Mapping[Proposition, TotalContent],
         raise InputError("table keys are over different universes")
     if masks != set(range(1, full + 1)):
         raise InputError("table must be total over all non-empty propositions")
-    wanted = {p.mask: t.content for p, t in table.items()}
+    wanted = {p.mask: t for p, t in table.items()}
     blocks = []
     remaining = full
     while remaining:
@@ -605,6 +605,6 @@ def representation_check(table: Mapping[Proposition, TotalContent],
         blocks.append(universe.prop_from_mask(block))
         remaining &= ~block
     model = RankedModel(tuple(blocks))
-    reproduces = all(revise(model, universe.prop_from_mask(mask)).content == wanted[mask]
+    reproduces = all(revise(model, universe.prop_from_mask(mask)) == wanted[mask]
                      for mask in range(1, full + 1))
     return model if reproduces else None

@@ -1,9 +1,10 @@
-"""Finite universes of labeled worlds, set-of-worlds propositions, and belief content.
+"""Finite universes of labeled worlds, set-of-worlds propositions, and entailment.
 
 A proposition is identified with the set of worlds in which it holds, stored
 as a bitmask over the universe's world indices.  Entailment is subset
-inclusion, negation is set complement, and a belief state's total content is
-the single proposition standing for the conjunction of everything believed.
+inclusion and negation is set complement.  A belief state's content is one
+proposition too, the conjunction of everything believed: its belief set is
+every proposition the content entails, and the empty content believes all.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ class Universe:
     def contradiction(self) -> Proposition:
         return Proposition(self, 0)
 
-    def valuation_of(self, label: str) -> dict[str, bool]:
-        if self.valuations is None:
-            raise InputError("universe carries no valuations")
-        return dict(zip(self.atoms, self.valuations[self.index(label)]))
-
     def propositions(self) -> Iterator[Proposition]:
         """All 2^n propositions in ascending bitmask order (the canonical order)."""
         for mask in range(1 << len(self.worlds)):
@@ -131,12 +127,6 @@ class Proposition:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.universe.worlds[i] for i in self.indices())
 
-    def size(self) -> int:
-        return bin(self.mask).count("1")
-
-    def has(self, label: str) -> bool:
-        return bool(self.mask >> self.universe.index(label) & 1)
-
     def complement(self) -> Proposition:
         return Proposition(self.universe, self.universe.tautology().mask ^ self.mask)
 
@@ -160,27 +150,3 @@ class Proposition:
     def __str__(self) -> str:
         return "{" + " ".join(self.labels()) + "}"
 
-
-@dataclass(frozen=True)
-class TotalContent:
-    """The conjunction of everything believed; empty content marks inconsistency.
-
-    The induced belief set is every proposition entailed by the content, so it
-    is deductively closed by construction, and empty content believes all.
-    """
-
-    content: Proposition
-
-    @property
-    def is_inconsistent(self) -> bool:
-        return self.content.is_empty
-
-    def believes(self, prop: Proposition) -> bool:
-        return self.content.entails(prop)
-
-    def expand(self, prop: Proposition) -> TotalContent:
-        """Add a belief without retracting anything; may go inconsistent."""
-        return TotalContent(self.content.intersect(prop))
-
-    def __str__(self) -> str:
-        return str(self.content)

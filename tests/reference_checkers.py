@@ -30,7 +30,6 @@ from rankrev import (
     Proposition,
     RankedModel,
     RevisionRule,
-    TotalContent,
     Witness,
     apply_rule,
     enumerate_ranked_models,
@@ -58,7 +57,7 @@ def check_agm(model: RankedModel, max_worlds: int) -> AxiomReport:
     cases = 0
     for a in props:
         cases += 1
-        t_a = revise(model, a).content
+        t_a = revise(model, a)
         if t_a.universe != u:
             return _agm_fail("B1", model, a, None, cases)
         if not t_a.entails(a):
@@ -69,13 +68,13 @@ def check_agm(model: RankedModel, max_worlds: int) -> AxiomReport:
             return _agm_fail("B4", model, a, None, cases)
         if t_a.is_empty != a.is_empty:
             return _agm_fail("B5", model, a, None, cases)
-        if revise(model, a).content != t_a:
+        if revise(model, a) != t_a:
             return _agm_fail("B6", model, a, None, cases)
     for a in props:
-        t_a = revise(model, a).content
+        t_a = revise(model, a)
         for b in props:
             cases += 1
-            t_ab = revise(model, a.intersect(b)).content
+            t_ab = revise(model, a.intersect(b))
             if not t_a.intersect(b).entails(t_ab):
                 return _agm_fail("B7", model, a, b, cases)
             if not t_a.intersect(b).is_empty and not t_ab.entails(t_a.intersect(b)):
@@ -113,9 +112,9 @@ def check_iteration_axiom(rule, axiom: str, model: RankedModel,
         for b_mask in _nonempty_submasks(side):
             cases += 1
             b = u.prop_from_mask(b_mask)
-            if revise(revised, b).content != revise(model, b).content:
+            if revise(revised, b) != revise(model, b):
                 detail = (f"{axiom} violated: believe {a} then revise by {b} "
-                          f"gives {revise(revised, b).content}, expected {revise(model, b).content}")
+                          f"gives {revise(revised, b)}, expected {revise(model, b)}")
                 return AxiomReport(axiom, False, cases,
                                    Witness(detail, model=model, proposition=a, second=b))
     return AxiomReport(axiom, True, cases)
@@ -157,7 +156,7 @@ def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,
     if prop.is_empty or prop.is_full:
         raise InputError("successor enumeration needs a non-degenerate proposition")
     u = model.universe
-    required = required_content(model, epistemic_input).content
+    required = required_content(model, epistemic_input)
     before = model.ranks()
     n = len(u.worlds)
     side_pairs = [
@@ -182,7 +181,7 @@ def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,
     )
 
 
-def representation_check(table: Mapping[Proposition, TotalContent],
+def representation_check(table: Mapping[Proposition, Proposition],
                          max_worlds: int = DEFAULT_CHECK_BOUND) -> RankedModel | None:
     if not table:
         raise InputError("empty revision table")
@@ -194,10 +193,10 @@ def representation_check(table: Mapping[Proposition, TotalContent],
         raise InputError("table keys are over different universes")
     if masks != set(range(1, full + 1)):
         raise InputError("table must be total over all non-empty propositions")
-    wanted = {p.mask: t.content for p, t in table.items()}
+    wanted = {p.mask: t for p, t in table.items()}
     for model in enumerate_ranked_models(universe, max_worlds):
         if all(
-            revise(model, universe.prop_from_mask(mask)).content == wanted[mask]
+            revise(model, universe.prop_from_mask(mask)) == wanted[mask]
             for mask in range(1, full + 1)
         ):
             return model
@@ -236,7 +235,7 @@ def _lexicographic(model: RankedModel, epistemic_input: EpistemicInput) -> Ranke
 
 
 def _natural(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-    front = required_content(model, epistemic_input).content
+    front = required_content(model, epistemic_input)
     rest = [b.intersect(front.complement()) for b in model.blocks]
     return RankedModel(tuple([front] + [b for b in rest if not b.is_empty]))
 

@@ -148,7 +148,7 @@ def test_criterion_7_representation_round_trip():
         for model in ALL_MODELS_5
     )
     corrupted = dict(rr.revision_table(R2))
-    corrupted[U4.prop("ab")] = rr.TotalContent(U4.prop("aB"))  # content outside the input
+    corrupted[U4.prop("ab")] = U4.prop("aB")  # content outside the input
     ok = ok and rr.representation_check(corrupted) is None
     elapsed = time.perf_counter() - start
     _report("7 (all 541 five-world revision tables recovered; corrupted table rejected)",

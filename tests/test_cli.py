@@ -43,6 +43,15 @@ def test_revise_with_rule(capsys):
     assert "posterior (lex) = [AB Ab] [aB] [ab]" in out
 
 
+def test_revise_rule_error_prints_nothing(capsys):
+    # revision alone accepts the tautology, but the rules reject it
+    code, out, err = run(capsys, "revise", "--model", FIXTURE, "--state", "r1",
+                         "--rule", "lex", "A | ~A")
+    assert code == 2
+    assert out == ""
+    assert err == "error: revision rules reject the contradiction and the tautology\n"
+
+
 def test_revise_accepts_expressions(capsys):
     code, out, _ = run(capsys, "revise", "--model", FIXTURE, "--state", "r2", "A & ~B")
     assert code == 0
@@ -231,6 +240,26 @@ def test_negative_max_strength_is_input_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == "error: max strength must be at least 0\n"
+
+
+def test_negative_max_strength_is_input_error_without_reversal_cases(capsys, tmp_path):
+    # no non-degenerate named proposition, so no reversibility check runs
+    model = tmp_path / "bare.bel"
+    model.write_text("atoms A B\nworlds auto\nrpm r = [AB] [Ab aB ab]\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--model", str(model), "--rule", "spohn:1",
+                         "--axioms", "r", "--max-strength", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max strength must be at least 0\n"
+
+
+@pytest.mark.parametrize("rule", ["spohn:\u0663", "spohn: 2"], ids=["arabic-indic", "space"])
+def test_spohn_strength_must_be_ascii_digits(capsys, rule):
+    code, out, err = run(capsys, "revise", "--model", FIXTURE, "--state", "r1",
+                         "--rule", rule, "A")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad rule strength in {rule!r}\n"
 
 
 def test_zero_max_strength_is_valid(capsys):

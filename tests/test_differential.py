@@ -104,24 +104,25 @@ def test_broken_degree_routes_fail_like_reference(monkeypatch, attr, broken):
 
 
 def _prior_revise(model, prop):
-    return model.total_content()
+    return model.blocks[0]
 
 
 def _last_block_revise(model, prop):
     i = last_consistent_block(model, prop)
     if i is None:
-        return rr.TotalContent(prop)
-    return rr.TotalContent(model.blocks[i] & prop)
+        return prop
+    return model.blocks[i] & prop
 
 
 def _pair_reversing_revise(model, prop):
     """Ranked revision, except that a two-world input outside the prior block
     picks its less plausible world: B1-B6 hold, B7/B8 do not."""
-    if prop.size() == 2 and (model.blocks[0] & prop).is_empty:
-        w1, w2 = prop.labels()
+    labels = prop.labels()
+    if len(labels) == 2 and (model.blocks[0] & prop).is_empty:
+        w1, w2 = labels
         if model.rank_of(w1) != model.rank_of(w2):
             worse = w1 if model.rank_of(w1) > model.rank_of(w2) else w2
-            return rr.TotalContent(prop.universe.prop(worse))
+            return prop.universe.prop(worse)
     return rr.revise(model, prop)
 
 
@@ -172,7 +173,7 @@ def corrupted_tables(draw):
     table = rr.revision_table(model)
     key = u.prop_from_mask(draw(st.integers(1, full)))
     over = u if draw(st.booleans()) else rr.Universe(tuple(f"v{i}" for i in range(n)))
-    table[key] = rr.TotalContent(over.prop_from_mask(draw(st.integers(0, full))))
+    table[key] = over.prop_from_mask(draw(st.integers(0, full)))
     return table
 
 

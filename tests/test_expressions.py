@@ -125,10 +125,9 @@ def test_denotation_matches_truth_table_oracle(text):
     oracle = sympy.parsing.sympy_parser.parse_expr(
         text.replace("->", ">>"), local_dict=syms, evaluate=False)
     got = denote(text)
-    for label in U2.worlds:
-        valuation = U2.valuation_of(label)
-        expected = bool(oracle.subs({syms[a]: v for a, v in valuation.items()}))
-        assert got.has(label) == expected, f"{text} at {label}"
+    for i, (label, row) in enumerate(zip(U2.worlds, U2.valuations)):
+        expected = bool(oracle.subs({syms[a]: v for a, v in zip(U2.atoms, row)}))
+        assert bool(got.mask >> i & 1) == expected, f"{text} at {label}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,11 +135,10 @@ def test_denotation_matches_truth_table_oracle(text):
 def test_random_trees_match_truth_table_oracle(node):
     text, _, formula = node
     got = parse_expression(text, U3)
-    for label in U3.worlds:
-        valuation = U3.valuation_of(label)
+    for i, (label, row) in enumerate(zip(U3.worlds, U3.valuations)):
         expected = bool(formula.xreplace(
-            {sympy.Symbol(a): sympy.true if v else sympy.false for a, v in valuation.items()}))
-        assert got.has(label) == expected, f"{text} at {label}"
+            {sympy.Symbol(a): sympy.true if v else sympy.false for a, v in zip(U3.atoms, row)}))
+        assert bool(got.mask >> i & 1) == expected, f"{text} at {label}"
 
 
 PIECES = ["A", "B", "C", "D", "x_1", "~", "&", "|", "->", "-", ">", "(", ")", " ", "?", "²", "é"]

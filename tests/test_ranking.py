@@ -63,8 +63,19 @@ def test_ocf_validation(uni):
         rr.OCF(uni, (0, 1, -1, 2))
     with pytest.raises(InputError):  # wrong arity
         rr.OCF(uni, (0, 1))
+    with pytest.raises(InputError):  # not an int, caught before the sign test
+        rr.OCF(uni, ("a", 0, 0, 0))
+    with pytest.raises(InputError):  # bools are not natural numbers
+        rr.OCF(uni, (True, False, False, False))
     with pytest.raises(InputError):  # missing world in map
         rr.OCF.from_map(uni, {"AB": 0})
+
+
+@pytest.mark.parametrize("ranks", [(0, -1), (0,), (0, 1, 0), (0, True), (0, "1"), (0, 2)],
+                         ids=["negative", "short", "long", "bool", "str", "gap"])
+def test_from_ranks_rejects_bad_vectors(ranks):
+    with pytest.raises(InputError):
+        rr.RankedModel.from_ranks(rr.Universe(("w1", "w2")), ranks)
 
 
 def test_rpm_from_ocf(uni, k1, r2, r3):
@@ -101,7 +112,7 @@ def test_preference_agrees_with_pair_revision_exhaustive():
                 if w1 == w2:
                     continue
                 pair = U4.prop(w1, w2)
-                revised = rr.revise(model, pair).content
+                revised = rr.revise(model, pair)
                 expected = {
                     Preference.FIRST: U4.prop(w1),
                     Preference.SECOND: U4.prop(w2),

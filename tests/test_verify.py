@@ -120,7 +120,7 @@ def test_flip_fails_b10_with_replayable_witness(r2):
     assert w is not None
     # replay: believe A', then revising by B' must disagree with direct revision
     revised = rr.apply_rule(rr.flip_rule, w.model, EpistemicInput(w.proposition, Attitude.BELIEVE))
-    assert rr.revise(revised, w.second).content != rr.revise(w.model, w.second).content
+    assert rr.revise(revised, w.second) != rr.revise(w.model, w.second)
 
 
 def test_flip_passes_b9(r2):
@@ -333,7 +333,7 @@ def test_representation_round_trip(r2):
     # uniqueness: no other model reproduces the same table
     matches = [
         m for m in ALL_MODELS_4
-        if all(rr.revise(m, p).content == t.content for p, t in table.items())
+        if all(rr.revise(m, p) == t for p, t in table.items())
     ]
     assert matches == [r2]
 
@@ -342,7 +342,7 @@ def test_representation_rejects_b2_violation(uni, r2):
     table = rr.revision_table(r2)
     # corrupt one entry so the revised content no longer entails the input
     bad = dict(table)
-    bad[uni.prop("ab")] = rr.TotalContent(uni.prop("aB"))
+    bad[uni.prop("ab")] = uni.prop("aB")
     assert rr.representation_check(bad) is None
 
 
@@ -375,7 +375,7 @@ def test_representation_partial_table_rejected(r2):
 def test_agm_checker_can_fail_and_witness_replays(uni, monkeypatch):
     # break revision via a shim: pretend revision always returns the prior block
     def broken_revise(model, prop):
-        return model.total_content()
+        return model.blocks[0]
 
     monkeypatch.setattr(verify, "revise", broken_revise)
     report = verify.check_agm(rr.RankedModel.from_labels(uni, ["aB"], ["AB", "Ab", "ab"]))
@@ -417,10 +417,10 @@ def test_b9_checker_can_fail_and_witness_replays(r2):
 
     def believe_then_revise(rule):
         revised = rr.apply_rule(rule, w.model, EpistemicInput(w.proposition, Attitude.BELIEVE))
-        return rr.revise(revised, w.second).content
+        return rr.revise(revised, w.second)
 
     # replay: believing A under the broken rule, then revising by B, misses the
     # beliefs B alone gives; under the lexicographic rule it lands on them
-    assert believe_then_revise(reverse_accepted_rule) != rr.revise(w.model, w.second).content
-    assert believe_then_revise(rr.lexicographic_rule) == rr.revise(w.model, w.second).content
+    assert believe_then_revise(reverse_accepted_rule) != rr.revise(w.model, w.second)
+    assert believe_then_revise(rr.lexicographic_rule) == rr.revise(w.model, w.second)
     assert rr.check_iteration_axiom(rr.lexicographic_rule, "B9", w.model).passed

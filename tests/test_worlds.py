@@ -1,4 +1,4 @@
-"""Core set semantics: universes, propositions, entailment, belief content."""
+"""Core set semantics: universes, propositions, entailment."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +11,9 @@ from conftest import U4
 
 def test_auto_universe_labels_and_order(uni):
     assert uni.worlds == ("AB", "Ab", "aB", "ab")
-    assert uni.valuation_of("Ab") == {"A": True, "B": False}
-    assert uni.valuation_of("ab") == {"A": False, "B": False}
+    assert uni.atoms == ("A", "B")
+    assert uni.valuations[uni.index("Ab")] == (True, False)
+    assert uni.valuations[uni.index("ab")] == (False, False)
 
 
 def test_universe_validation():
@@ -73,22 +74,22 @@ def test_unknown_world_label(uni):
 
 
 def test_believes(uni, prop_a):
-    t = rr.TotalContent(prop_a)
-    assert t.believes(uni.prop("AB", "Ab", "aB"))
-    assert not t.believes(uni.prop("aB"))
-    # the inconsistent belief set believes everything, the contradiction included
-    bottom = rr.TotalContent(uni.contradiction())
-    assert bottom.believes(uni.contradiction())
-    assert bottom.is_inconsistent
+    # a content believes exactly what it entails
+    assert prop_a.entails(uni.prop("AB", "Ab", "aB"))
+    assert not prop_a.entails(uni.prop("aB"))
+    # the inconsistent (empty) content believes everything, the contradiction included
+    bottom = uni.contradiction()
+    assert all(bottom.entails(p) for p in uni.propositions())
+    assert bottom.is_empty
 
 
 def test_expand(uni, prop_a):
-    t = rr.TotalContent(uni.prop("AB", "Ab", "aB"))
-    assert t.expand(prop_a).content == prop_a
+    # expansion is intersection with the new proposition
+    assert uni.prop("AB", "Ab", "aB").intersect(prop_a) == prop_a
     # expansion may be inconsistent where revision is not
-    assert rr.TotalContent(uni.prop("AB")).expand(uni.prop("aB")).is_inconsistent
+    assert uni.prop("AB").intersect(uni.prop("aB")).is_empty
     # expanding the empty belief state just adopts the new proposition
-    assert rr.TotalContent(uni.tautology()).expand(prop_a).content == prop_a
+    assert uni.tautology().intersect(prop_a) == prop_a
 
 
 def test_entails_is_partial_order(uni):
@@ -104,19 +105,20 @@ def test_entails_is_partial_order(uni):
 
 
 def test_belief_set_deductively_closed(uni):
-    for t_mask in range(16):
-        t = rr.TotalContent(uni.prop_from_mask(t_mask))
+    # the belief set of content t, {a : t entails a}, is closed under entailment
+    for t in uni.propositions():
         for a in uni.propositions():
             for b in uni.propositions():
-                if t.believes(a) and a.entails(b):
-                    assert t.believes(b)
+                if t.entails(a) and a.entails(b):
+                    assert t.entails(b)
 
 
 def test_expand_shrinks_content(uni):
-    for t_mask in range(16):
-        t = rr.TotalContent(uni.prop_from_mask(t_mask))
+    # expanding t by a yields a content that entails t and a, so believes more
+    for t in uni.propositions():
         for a in uni.propositions():
-            assert t.expand(a).content.entails(t.content)
+            expanded = t.intersect(a)
+            assert expanded.entails(t) and expanded.entails(a)
 
 
 masks = st.integers(0, 15)
