@@ -13,7 +13,7 @@ import sys
 from typing import Callable
 
 from .errors import InputError, ParseError
-from .modelfile import ModelFile, load_model, resolve_proposition
+from .modelfile import ModelFile, load_model, read_text, resolve_proposition
 from .ranking import RankedModel, rpm_from_ocf
 from .revision import (
     Attitude,
@@ -42,8 +42,6 @@ from .verify import (
 )
 from .worlds import Proposition, Universe
 
-_ATTITUDES = {"believe": Attitude.BELIEVE, "disbelieve": Attitude.DISBELIEVE,
-              "suspend": Attitude.SUSPEND}
 _SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+([0-9]+))?\s*")
 
 
@@ -167,7 +165,7 @@ def _parse_script(text: str, model_file: ModelFile, rule: RevisionRule) -> list[
             raise ParseError("strength needs a strength-based rule (spohn:N)",
                              line_no, m.start(3) + 1)
         try:
-            steps.append(EpistemicInput(prop, _ATTITUDES[attitude],
+            steps.append(EpistemicInput(prop, Attitude(attitude),
                                         int(strength) if strength else None))
         except InputError as exc:
             raise ParseError(str(exc), line_no, m.start(3) + 1) from None
@@ -178,11 +176,7 @@ def _cmd_iterate(args) -> int:
     mf = load_model(args.model)
     state = _ranked_state(mf, args.state)
     rule = rule_by_name(args.rule)
-    try:
-        with open(args.script, encoding="utf-8") as handle:
-            steps = _parse_script(handle.read(), mf, rule)
-    except OSError as exc:
-        raise InputError(f"cannot read script {args.script!r}: {exc.strerror}") from None
+    steps = _parse_script(read_text(args.script, "script"), mf, rule)
     print(f"state {args.state} = {state}")
     for i, step in enumerate(steps, start=1):
         state = apply_rule(rule, state, step)
@@ -201,6 +195,8 @@ def _cmd_check(args) -> int:
     mf = load_model(args.model)
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
     known = ("agm", "b9", "b10", "order", "degrees", "r")
+    if not axioms:
+        raise InputError(f"no axioms given (expected one or more of {', '.join(known)})")
     for a in axioms:
         if a not in known:
             raise InputError(f"unknown axiom {a!r} (expected one of {', '.join(known)})")
@@ -214,11 +210,7 @@ def _cmd_check(args) -> int:
     for axiom in axioms:
         for name, state in states:
             failures += _run_check(axiom, name, state, rule, props, args)
-    if failures:
-        print(f"result: FAIL ({failures} violation{'s' if failures != 1 else ''})")
-        return 1
-    print("result: pass")
-    return 0
+    return _result(failures, "violation")
 
 
 def _run_check(axiom: str, name: str, state: RankedModel, rule: RevisionRule | None,
@@ -349,8 +341,13 @@ def _cmd_represent(args) -> int:
         else:
             failures += 1
             print(f"{name}: NOT recovered (got {recovered})")
+    return _result(failures, "state")
+
+
+def _result(failures: int, noun: str) -> int:
+    """Print the closing ``result:`` line; the exit code is 1 on any failure."""
     if failures:
-        print(f"result: FAIL ({failures} state{'s' if failures != 1 else ''})")
+        print(f"result: FAIL ({failures} {noun}{'s' if failures != 1 else ''})")
         return 1
     print("result: pass")
     return 0

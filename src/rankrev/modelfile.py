@@ -40,13 +40,20 @@ class ModelFile:
     ocfs: dict[str, OCF] = field(default_factory=dict)
 
 
-def load_model(path: str) -> ModelFile:
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file; unreadable or undecodable files are input errors."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read model file {path!r}: {exc.strerror}") from None
-    return parse_model(text)
+        raise InputError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {what} {path!r}: not UTF-8 "
+                         f"({exc.reason} at offset {exc.start})") from None
+
+
+def load_model(path: str) -> ModelFile:
+    return parse_model(read_text(path, "model file"))
 
 
 def parse_model(text: str) -> ModelFile:
@@ -148,20 +155,18 @@ class _ModelReader:
         self.world_rows.append((label, tuple(assigned[a] for a in self.atoms)))
 
     def _finish_universe(self, line_no: int):
+        if not self.auto and not self.world_rows:
+            raise ParseError("no worlds declared", line_no)
         try:
             if self.auto:
                 self.universe = Universe.from_atoms(self.atoms)
-            elif self.world_rows:
+            else:
                 self.universe = Universe(
                     worlds=tuple(label for label, _ in self.world_rows),
                     atoms=self.atoms or (),
                     valuations=tuple(row for _, row in self.world_rows),
                 )
-            else:
-                raise ParseError("no worlds declared", line_no)
         except InputError as exc:
-            if isinstance(exc, ParseError):
-                raise
             raise ParseError(str(exc), line_no) from None
 
     def _named(self, line_no: int, line: str, raw: str) -> tuple[str, str, int]:
@@ -201,13 +206,10 @@ class _ModelReader:
         blocks = _BLOCK.findall(rest)
         if not blocks or _BLOCK.sub("", rest).strip():
             raise ParseError("expected '[LABEL ...] [LABEL ...] ...'", line_no)
+        props = tuple(self._labels_to_prop(line_no, b.split()) for b in blocks)
         try:
-            self.rpms[name] = RankedModel(
-                tuple(self._labels_to_prop(line_no, b.split()) for b in blocks)
-            )
+            self.rpms[name] = RankedModel(props)
         except InputError as exc:
-            if isinstance(exc, ParseError):
-                raise
             raise ParseError(f"rpm {name!r} is not a partition: {exc}", line_no) from None
 
     def _ocf(self, line_no: int, name: str, rest: str):

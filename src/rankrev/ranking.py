@@ -82,11 +82,7 @@ class RankedModel:
         return tuple(out)
 
     def rank_of(self, world: str) -> int:
-        i = self.universe.index(world)
-        for r, block in enumerate(self.blocks):
-            if block.mask >> i & 1:
-                return r
-        raise AssertionError("unreachable: blocks cover the universe")
+        return self.ranks()[self.universe.index(world)]
 
     def first_consistent_block(self, prop: Proposition) -> int | None:
         """Index of the first block meeting ``prop``; None iff ``prop`` is empty."""
@@ -165,16 +161,13 @@ def _from_masks(universe: Universe, masks) -> RankedModel:
 
 
 def rpm_from_ocf(ocf: OCF) -> RankedModel:
-    """Group worlds by equal value, blocks ascending; gaps collapse to consecutive ranks."""
-    levels = sorted(set(ocf.values))
-    blocks = []
-    for v in levels:
-        mask = 0
-        for i, val in enumerate(ocf.values):
-            if val == v:
-                mask |= 1 << i
-        blocks.append(Proposition(ocf.universe, mask))
-    return RankedModel(tuple(blocks))
+    """Group worlds by equal value, blocks ascending; gaps collapse to consecutive ranks.
+
+    Each value is replaced by its position among the distinct values, and
+    the resulting rank vector is read by :meth:`RankedModel.from_ranks`.
+    """
+    rank = {v: r for r, v in enumerate(sorted(set(ocf.values)))}
+    return RankedModel.from_ranks(ocf.universe, tuple(rank[v] for v in ocf.values))
 
 
 def ocf_from_rpm(model: RankedModel) -> OCF:

@@ -57,6 +57,8 @@ class EpistemicInput:
     strength: int | None = None
 
     def __post_init__(self):
+        if self.strength is not None and type(self.strength) is not int:
+            raise InputError(f"strength must be an int, got {self.strength!r}")
         if self.strength is not None and self.attitude is Attitude.SUSPEND:
             raise InputError("suspend takes no strength")
         if self.strength is not None and self.strength < 1:
@@ -218,6 +220,8 @@ def spohn_rule(alpha: int) -> RevisionRule:
     distances, which is why it can be irreversible at the ranking level even
     though OCF conditionalization itself is reversible.
     """
+    if type(alpha) is not int:
+        raise InputError(f"rule strength must be an int, got {alpha!r}")
     if alpha < 1:
         raise InputError("rule strength must be at least 1; strength 0 would turn "
                          "belief into suspension")

@@ -251,24 +251,27 @@ def check_degree_conditions(model: RankedModel,
                             max_worlds: int = DEFAULT_CHECK_BOUND) -> AxiomReport:
     """Check the two conditions forcing degree = minimum rank.
 
-    (i) a singleton's degree is its world's rank (holds by construction, so
-    checked directly per world); (ii) for non-empty A, B: degree(A) <
-    degree(B) exactly when the first block consistent with A ∪ B misses B.
+    (i) a singleton's degree is its world's rank; (ii) for non-empty A, B:
+    degree(A) < degree(B) exactly when the first block consistent with
+    A ∪ B misses B.
 
-    The two sides of (ii) come from two tables built once per proposition
-    by independent routes: degrees from ``disbelief_degree`` (the minimum
-    over world ranks), first blocks from ``first_consistent_block`` (the
-    block scan).  The pair loop compares them over int masks.
+    Both conditions compare the two independent routes: degrees from
+    ``disbelief_degree`` (the minimum over world ranks), blocks from
+    ``first_consistent_block`` (the block scan), whose index for a
+    singleton is its world's rank.  The two sides of (ii) come from two
+    tables built once per proposition; the pair loop compares them over int
+    masks.
     """
     u = model.universe
     _check_bound(u, max_worlds)
     cases = 0
-    for i, w in enumerate(u.worlds):
+    for w in u.worlds:
         cases += 1
-        if model.disbelief_degree(u.prop(w)) != model.rank_of(w):
+        single = u.prop(w)
+        if model.disbelief_degree(single) != model.first_consistent_block(single):
             return AxiomReport("degrees", False, cases,
                                Witness(f"degree of {{{w}}} is not its rank", model=model,
-                                       proposition=u.prop(w)))
+                                       proposition=single))
     full = u.tautology().mask
     props = [u.prop_from_mask(m) for m in range(full + 1)]
     degree = [None] + [model.disbelief_degree(p) for p in props[1:]]
@@ -433,16 +436,21 @@ def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_ST
     Returns None whenever the strength bound covers the value bound: at the
     numeric level every step is undone by the difference of the two sides'
     prior degrees.
+
+    Conditionalizing twice on the same proposition forgets the first
+    strength (Spohn 1988), so whether a step on (OCF, A) can be undone does
+    not depend on its strength.  One strength, -max_strength, is tried per
+    (OCF, A); it is the first of the whole range, so the witness is the
+    first in (OCF, A, strength) order.
     """
     _check_strength_bound(max_strength)
     full = universe.tautology().mask
     for ocf in enumerate_ocfs(universe, max_value, max_worlds):
         for a_mask in range(1, full):
             prop = universe.prop_from_mask(a_mask)
-            for alpha in range(-max_strength, max_strength + 1):
-                report = check_ocf_reversibility(ocf, prop, alpha, max_strength)
-                if not report.passed:
-                    return report.witness
+            report = check_ocf_reversibility(ocf, prop, -max_strength, max_strength)
+            if not report.passed:
+                return report.witness
     return None
 
 
@@ -555,18 +563,11 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
     ]
     cases = (len(r1_believe) + len(r2_believe) + len(r3_believe) + len(r3_suspend)
              + len(r3_disbelieve) + len(strength_outputs) + 2)
-    for ok, complaint in checks:
-        if not ok:
-            return CounterexampleReport(
-                "counterexample", False, cases,
-                witness=Witness(complaint, model=fx.r3, proposition=a),
-                fixture=fx, r1_believe=r1_believe, r2_believe=r2_believe,
-                r3_believe=r3_believe, r3_suspend=r3_suspend,
-                r3_disbelieve=r3_disbelieve, degrees=degrees,
-                strength_outputs=strength_outputs)
+    failed = next((complaint for ok, complaint in checks if not ok), None)
     return CounterexampleReport(
-        "counterexample", True, cases, fixture=fx,
-        r1_believe=r1_believe, r2_believe=r2_believe, r3_believe=r3_believe,
+        "counterexample", failed is None, cases,
+        witness=None if failed is None else Witness(failed, model=fx.r3, proposition=a),
+        fixture=fx, r1_believe=r1_believe, r2_believe=r2_believe, r3_believe=r3_believe,
         r3_suspend=r3_suspend, r3_disbelieve=r3_disbelieve, degrees=degrees,
         strength_outputs=strength_outputs)
 
@@ -605,6 +606,4 @@ def representation_check(table: Mapping[Proposition, Proposition],
         blocks.append(universe.prop_from_mask(block))
         remaining &= ~block
     model = RankedModel(tuple(blocks))
-    reproduces = all(revise(model, universe.prop_from_mask(mask)) == wanted[mask]
-                     for mask in range(1, full + 1))
-    return model if reproduces else None
+    return model if revision_table(model) == dict(table) else None

@@ -65,9 +65,6 @@ class Universe:
         )
         return cls(worlds=labels, atoms=atoms, valuations=rows)
 
-    def __len__(self) -> int:
-        return len(self.worlds)
-
     def index(self, label: str) -> int:
         try:
             return self.worlds.index(label)

@@ -136,6 +136,13 @@ def max_rank_degree(model, prop):
     return max(ranks[i] for i in prop.indices())
 
 
+def shifted_degree(model, prop):
+    """A broken degree route: one more than the minimum rank.  Every comparison
+    of two degrees keeps its verdict, so only degree condition (i) can see it."""
+    ranks = model.ranks()
+    return min(ranks[i] for i in prop.indices()) + 1
+
+
 def last_consistent_block(model, prop):
     """A broken block scan: the last block meeting the proposition, not the first."""
     hits = [i for i, block in enumerate(model.blocks) if block.mask & prop.mask]

@@ -126,7 +126,7 @@ def check_degree_conditions(model: RankedModel, max_worlds: int) -> AxiomReport:
     cases = 0
     for w in u.worlds:
         cases += 1
-        if model.disbelief_degree(u.prop(w)) != model.rank_of(w):
+        if model.disbelief_degree(u.prop(w)) != model.first_consistent_block(u.prop(w)):
             return AxiomReport("degrees", False, cases,
                                Witness(f"degree of {{{w}}} is not its rank", model=model,
                                        proposition=u.prop(w)))

@@ -8,6 +8,9 @@ from rankrev.cli import main
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.bel")
 GOLDEN = Path(__file__).parent / "golden" / "counterexample.txt"
+# ``counterexample --worlds N`` output; the default (4 worlds) keeps the plain name.
+GOLDENS = {4: GOLDEN, 5: GOLDEN.with_name("counterexample-5.txt"),
+           6: GOLDEN.with_name("counterexample-6.txt")}
 
 
 def run(capsys, *argv):
@@ -95,10 +98,31 @@ def test_check_unknown_axiom(capsys):
     assert "unknown axiom" in err
 
 
+@pytest.mark.parametrize("axioms", ["", ",", " , "], ids=["empty", "comma", "spaced-comma"])
+def test_check_without_axioms_is_input_error(capsys, axioms):
+    code, out, err = run(capsys, "check", "--model", FIXTURE, "--axioms", axioms)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: no axioms given "
+                   "(expected one or more of agm, b9, b10, order, degrees, r)\n")
+
+
+def test_check_flip_fails_order(capsys):
+    code, out, _ = run(capsys, "check", "--model", FIXTURE, "--rule", "flip",
+                       "--axioms", "order")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "order[r1]: FAIL at A"
+    assert lines[1] == ("  order within a side of {AB Ab} not preserved: "
+                        "aB vs ab was first, now second")
+    assert lines[-1] == "result: FAIL (3 violations)"
+
+
 def test_counterexample_golden_bytes(capsys):
-    code, out, _ = run(capsys, "counterexample")
-    assert code == 0
-    assert out == GOLDEN.read_text(encoding="utf-8")
+    assert run(capsys, "counterexample") == (0, GOLDEN.read_text(encoding="utf-8"), "")
+    for worlds, golden in GOLDENS.items():
+        code, out, err = run(capsys, "counterexample", "--worlds", str(worlds))
+        assert (code, out, err) == (0, golden.read_text(encoding="utf-8"), ""), worlds
 
 
 def test_counterexample_is_deterministic(capsys):
@@ -310,6 +334,36 @@ def test_missing_model_file(capsys):
     assert "cannot read model file" in err
 
 
+def test_non_utf8_model_file_is_input_error(capsys, tmp_path):
+    model = tmp_path / "bad.bel"
+    model.write_bytes(b"atoms A\nworlds auto\nrpm r = [A] [a]\n# \xff\n")
+    code, out, err = run(capsys, "check", "--model", str(model))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot read model file {str(model)!r}: "
+                   "not UTF-8 (invalid start byte at offset 38)\n")
+
+
+def test_non_utf8_script_is_input_error(capsys, tmp_path):
+    script = tmp_path / "steps.txt"
+    script.write_bytes(b"believe A # \xff\n")
+    code, out, err = run(capsys, "iterate", "--model", FIXTURE, "--state", "r1",
+                         "--rule", "lex", str(script))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: cannot read script {str(script)!r}: "
+                   "not UTF-8 (invalid start byte at offset 12)\n")
+
+
+def test_missing_script(capsys, tmp_path):
+    script = tmp_path / "none.txt"
+    code, out, err = run(capsys, "iterate", "--model", FIXTURE, "--state", "r1",
+                         "--rule", "lex", str(script))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read script {str(script)!r}: ")
+
+
 def test_unknown_state(capsys):
     code, _, err = run(capsys, "revise", "--model", FIXTURE, "--state", "zz", "A")
     assert code == 2
@@ -320,6 +374,10 @@ def test_bad_expression_is_input_error(capsys):
     code, _, err = run(capsys, "revise", "--model", FIXTURE, "--state", "r1", "A & C")
     assert code == 2
     assert "unknown atom" in err
+    code, out, err = run(capsys, "revise", "--model", FIXTURE, "--state", "r1", "(A B")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 1:4: expected ')', got 'B'\n"
 
 
 @pytest.mark.parametrize("text", ["~" * 5000 + "A", "(" * 400 + "A" + ")" * 400,

@@ -11,6 +11,8 @@ The rules and ``ranks()``, which compute on block masks, are compared with
 the references' object-level bodies, posterior for posterior.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from conftest import (
     models_with_input,
     ranked_models,
     reverse_accepted_rule,
+    shifted_degree,
 )
 
 RULES = [rr.lexicographic_rule, rr.natural_rule, rr.spohn_rule(1)]
@@ -92,7 +95,8 @@ def test_reverse_accepted_b9_failures_match_reference():
 
 
 @pytest.mark.parametrize("attr, broken", [("disbelief_degree", max_rank_degree),
-                                          ("first_consistent_block", last_consistent_block)])
+                                          ("first_consistent_block", last_consistent_block),
+                                          ("disbelief_degree", shifted_degree)])
 def test_broken_degree_routes_fail_like_reference(monkeypatch, attr, broken):
     monkeypatch.setattr(rr.RankedModel, attr, broken)
     failed = 0
@@ -126,7 +130,62 @@ def _pair_reversing_revise(model, prop):
     return rr.revise(model, prop)
 
 
-@pytest.mark.parametrize("broken", [_prior_revise, _last_block_revise, _pair_reversing_revise])
+def _other_universe_revise(model, prop):
+    """Ranked revision, with the content moved onto a universe with other labels."""
+    other = rr.Universe(tuple(f"v{i}" for i in range(len(prop.universe.worlds))))
+    return other.prop_from_mask(rr.revise(model, prop).mask)
+
+
+def _input_revise(model, prop):
+    """The input itself: more than the expansion wherever A meets the prior block
+    without lying inside it."""
+    return prop
+
+
+def _expansion_revise(model, prop):
+    """Expansion by the prior block: empty for every input the prior rules out."""
+    return model.blocks[0] & prop
+
+
+_flaky_calls = itertools.count()
+
+
+def _flaky_revise(model, prop):
+    """Ranked revision on every other call and its complement in between.  Each
+    checker run fails at A = {} after exactly two calls, so the next run starts
+    on a first call again."""
+    content = rr.revise(model, prop)
+    return ~content if next(_flaky_calls) % 2 else content
+
+
+# A partial order on w0..w4 that is not a ranking: w0 lies below every other
+# world and w1 below w2; w3 and w4 are unrelated to w1, w2 and each other.
+_BELOW = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}
+
+
+def _partial_order_revise(model, prop):
+    """The minimal worlds of A under ``_BELOW``.  Where the prior block is {w0},
+    B1-B7 hold and B8 fails: A = {w1 w2 w3} gives {w1 w3}, which B = {w2 w3}
+    meets in {w3}, yet A ∩ B gives {w2 w3}."""
+    worlds = prop.indices()
+    minimal = [i for i in worlds if not any((j, i) in _BELOW for j in worlds)]
+    return prop.universe.prop_from_mask(sum(1 << i for i in minimal))
+
+
+# broken revision -> the axioms its first failures name over all five-world models
+BROKEN_REVISIONS = {
+    _prior_revise: {"B2"},
+    _last_block_revise: {"B3"},
+    _pair_reversing_revise: {"B7"},
+    _other_universe_revise: {"B1"},
+    _input_revise: {"B4"},
+    _expansion_revise: {"B5"},
+    _flaky_revise: {"B6"},
+    _partial_order_revise: {"B3", "B8"},
+}
+
+
+@pytest.mark.parametrize("broken", list(BROKEN_REVISIONS))
 def test_broken_revision_fails_agm_like_reference(monkeypatch, broken):
     monkeypatch.setattr(verify, "revise", broken)
     monkeypatch.setattr(reference, "revise", broken)
@@ -136,9 +195,7 @@ def test_broken_revision_fails_agm_like_reference(monkeypatch, broken):
         assert report == reference.check_agm(model, 5)
         if not report.passed:
             axioms.add(report.witness.description.split()[0])
-    assert axioms
-    if broken is _pair_reversing_revise:
-        assert axioms <= {"B7", "B8"}
+    assert axioms == BROKEN_REVISIONS[broken]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import rankrev as rr
 from rankrev import Attitude, EpistemicInput, InputError
@@ -111,6 +112,15 @@ def test_strength_must_be_magnitude(prop_a):
     assert EpistemicInput(prop_a, Attitude.SUSPEND).signed_strength(3) == 0
 
 
+@pytest.mark.parametrize("strength", [True, 2.5, "2"], ids=["bool", "float", "str"])
+def test_strength_must_be_int(prop_a, strength):
+    for attitude in Attitude:
+        with pytest.raises(InputError, match="strength must be an int"):
+            EpistemicInput(prop_a, attitude, strength)
+    with pytest.raises(InputError, match="rule strength must be an int"):
+        rr.spohn_rule(strength)
+
+
 def test_rule_by_name():
     assert rr.rule_by_name("lex") is rr.lexicographic_rule
     assert rr.rule_by_name("natural") is rr.natural_rule
@@ -192,3 +202,14 @@ def test_conditionalization_sets_target_degrees(ocf):
         assert out.degree(target) == 0
         assert out.degree(target.complement()) == abs(alpha)
         assert min(out.values) == 0
+
+
+@given(ocfs(min_worlds=2, max_worlds=5), st.data())
+def test_conditionalizing_twice_forgets_the_first_strength(ocf, data):
+    # Spohn 1988: the second conditionalization on A fixes both sides' degrees
+    # and keeps their internal differences, so only its own strength matters.
+    n = len(ocf.universe.worlds)
+    prop = ocf.universe.prop_from_mask(data.draw(st.integers(1, (1 << n) - 2)))
+    alpha, beta = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    twice = rr.spohn_conditionalize(rr.spohn_conditionalize(ocf, prop, alpha), prop, beta)
+    assert twice == rr.spohn_conditionalize(ocf, prop, beta)

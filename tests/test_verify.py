@@ -10,7 +10,7 @@ from rankrev import Attitude, EpistemicInput, InputError
 from rankrev.cli import render_counterexample
 
 from conftest import (ALL_MODELS_4, U4, max_rank_degree, plain_universe,
-                      reverse_accepted_rule)
+                      reverse_accepted_rule, shifted_degree)
 
 A = U4.prop("AB", "Ab")
 
@@ -257,6 +257,23 @@ def test_find_ocf_irreversibility_absent():
     assert rr.find_ocf_irreversibility(U4, max_value=3, max_strength=3) is None
 
 
+def test_find_ocf_irreversibility_witness_replays():
+    # values up to 3 need strengths up to 3: with ±1 the search must fail
+    w = rr.find_ocf_irreversibility(U4, max_value=3, max_strength=1)
+    assert w is not None
+    assert w.ocf == rr.OCF(U4, (0, 0, 0, 2))
+    assert w.proposition == U4.prop("AB", "Ab", "aB")
+    assert w.strength == -1
+    # replay: no strength within ±1 restores the OCF after the witness step ...
+    conditioned = rr.spohn_conditionalize(w.ocf, w.proposition, w.strength)
+    assert all(rr.spohn_conditionalize(conditioned, w.proposition, beta) != w.ocf
+               for beta in range(-1, 2))
+    # ... because the one strength that does lies outside the bound
+    beta = rr.reverse_strength(w.ocf, w.proposition)
+    assert abs(beta) > 1
+    assert rr.spohn_conditionalize(conditioned, w.proposition, beta) == w.ocf
+
+
 # ---------------------------------------------------------------------------
 # the counterexample
 
@@ -406,6 +423,25 @@ def test_degree_checker_can_fail_and_witness_replays(monkeypatch):
     monkeypatch.undo()
     # ... and the real ones satisfy it there and everywhere
     assert condition_holds()
+    assert rr.check_degree_conditions(w.model).passed
+
+
+def test_degree_condition_i_can_fail_and_witness_replays(monkeypatch, r2):
+    # break the degree route by one: every comparison (ii) makes keeps its verdict
+    monkeypatch.setattr(rr.RankedModel, "disbelief_degree", shifted_degree)
+    report = rr.check_degree_conditions(r2)
+    assert not report.passed
+    assert report.cases == 1
+    w = report.witness
+    assert w.description == "degree of {AB} is not its rank"
+    single = w.proposition
+    assert single == U4.prop("AB")
+    # replayed through the public API, the broken degree is not the singleton's block ...
+    assert w.model.disbelief_degree(single) != w.model.first_consistent_block(single)
+    monkeypatch.undo()
+    # ... and the real one is, and equals the world's rank
+    assert w.model.disbelief_degree(single) == w.model.first_consistent_block(single)
+    assert w.model.disbelief_degree(single) == w.model.rank_of("AB") == 1
     assert rr.check_degree_conditions(w.model).passed
 
 
