@@ -17,12 +17,11 @@ load; diagnostics carry the offending line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import InputError, ParseError
 from .expressions import parse_expression
 from .ranking import OCF, RankedModel
-from .worlds import Proposition, Universe
+from .worlds import Proposition, Universe, _Value
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _WORLD_LINE = re.compile(r"world\s+(\S+)\s*\{([^}]*)\}\s*\Z")
@@ -30,14 +29,16 @@ _SET_BODY = re.compile(r"\{([^}]*)\}\s*\Z")
 _BLOCK = re.compile(r"\[([^\]]*)\]")
 
 
-@dataclass
-class ModelFile:
+class ModelFile(_Value):
     """A fully validated model file held in memory."""
 
-    universe: Universe
-    props: dict[str, Proposition] = field(default_factory=dict)
-    rpms: dict[str, RankedModel] = field(default_factory=dict)
-    ocfs: dict[str, OCF] = field(default_factory=dict)
+    __slots__ = ("universe", "props", "rpms", "ocfs")
+    __hash__ = None  # its fields are dicts
+
+    def __init__(self, universe: Universe, props: dict[str, Proposition] | None = None,
+                 rpms: dict[str, RankedModel] | None = None, ocfs: dict[str, OCF] | None = None):
+        self._fill(universe, {} if props is None else props, {} if rpms is None else rpms,
+                   {} if ocfs is None else ocfs)
 
 
 def read_text(path: str, what: str) -> str:

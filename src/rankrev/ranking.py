@@ -15,12 +15,11 @@ representations under iterated change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import InputError
-from .worlds import Proposition, Universe, _require_same_universe
+from .worlds import Proposition, Universe, _require_same_universe, _set, _Value
 
 
 class Preference(Enum):
@@ -31,18 +30,18 @@ class Preference(Enum):
     TIE = "tie"
 
 
-@dataclass(frozen=True)
-class RankedModel:
+class RankedModel(_Value):
     """An ordered partition of the universe; earlier blocks are more believable."""
 
-    blocks: tuple[Proposition, ...]
+    __slots__ = ("blocks", "_ranks")
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: Iterable[Proposition]):
+        blocks = tuple(blocks)
+        if not blocks:
             raise InputError("ranked model needs at least one block")
-        u = self.blocks[0].universe
+        u = blocks[0].universe
         union = 0
-        for block in self.blocks:
+        for block in blocks:
             if block.universe != u:
                 raise InputError("blocks are over different universes")
             if block.is_empty:
@@ -52,6 +51,7 @@ class RankedModel:
             union |= block.mask
         if union != u.tautology().mask:
             raise InputError("ranked model blocks must cover the universe")
+        _set(self, "blocks", blocks)
 
     @classmethod
     def from_labels(cls, universe: Universe, *blocks: list[str] | tuple[str, ...]) -> RankedModel:
@@ -72,14 +72,19 @@ class RankedModel:
         return self.blocks[0].universe
 
     def ranks(self) -> tuple[int, ...]:
-        """Rank per world index."""
+        """Rank per world index, computed on the first call."""
+        try:
+            return self._ranks
+        except AttributeError:
+            pass
         out = [0] * len(self.universe.worlds)
         for r, block in enumerate(self.blocks):
             m = block.mask
             while m:
                 out[(m & -m).bit_length() - 1] = r
                 m &= m - 1
-        return tuple(out)
+        _set(self, "_ranks", tuple(out))
+        return self._ranks
 
     def rank_of(self, world: str) -> int:
         return self.ranks()[self.universe.index(world)]
@@ -119,24 +124,26 @@ class RankedModel:
         return " ".join("[" + " ".join(b.labels()) + "]" for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class OCF:
+class OCF(_Value):
     """An ordinal conditional function: world -> natural number, minimum zero.
 
     Construction rejects non-normalized value vectors instead of shifting
     them; silently renormalizing would hide caller bugs.
     """
 
-    universe: Universe = field(repr=False)
-    values: tuple[int, ...]
+    __slots__ = ("universe", "values")
+    _unshown = ("universe",)
 
-    def __post_init__(self):
-        if len(self.values) != len(self.universe.worlds):
+    def __init__(self, universe: Universe, values: Iterable[int]):
+        values = tuple(values)
+        if len(values) != len(universe.worlds):
             raise InputError("one value per world required")
-        if any(type(v) is not int or v < 0 for v in self.values):
+        if any(type(v) is not int or v < 0 for v in values):
             raise InputError("values must be natural numbers")
-        if min(self.values) != 0:
+        if min(values) != 0:
             raise InputError("not normalized: minimum value must be 0")
+        _set(self, "universe", universe)
+        _set(self, "values", values)
 
     @classmethod
     def from_map(cls, universe: Universe, values: Mapping[str, int]) -> OCF:

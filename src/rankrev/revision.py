@@ -28,14 +28,13 @@ implementation's choice, constrained to reproduce the suspended belief set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
 from typing import Callable
 
 from .errors import InputError
 from .ranking import OCF, RankedModel, _from_masks
-from .worlds import Proposition
+from .worlds import Proposition, _Value
 
 
 class Attitude(Enum):
@@ -44,25 +43,23 @@ class Attitude(Enum):
     SUSPEND = "suspend"
 
 
-@dataclass(frozen=True)
-class EpistemicInput:
+class EpistemicInput(_Value):
     """A proposition plus an attitude toward it.
 
     ``strength`` is an optional magnitude of at least 1 used by strength-based
     rules; the attitude carries the sign (believe +, disbelieve -, suspend 0).
     """
 
-    proposition: Proposition
-    attitude: Attitude
-    strength: int | None = None
+    __slots__ = ("proposition", "attitude", "strength")
 
-    def __post_init__(self):
-        if self.strength is not None and type(self.strength) is not int:
-            raise InputError(f"strength must be an int, got {self.strength!r}")
-        if self.strength is not None and self.attitude is Attitude.SUSPEND:
+    def __init__(self, proposition: Proposition, attitude: Attitude, strength: int | None = None):
+        if strength is not None and type(strength) is not int:
+            raise InputError(f"strength must be an int, got {strength!r}")
+        if strength is not None and attitude is Attitude.SUSPEND:
             raise InputError("suspend takes no strength")
-        if self.strength is not None and self.strength < 1:
+        if strength is not None and strength < 1:
             raise InputError("strength must be at least 1")
+        self._fill(proposition, attitude, strength)
 
     def signed_strength(self, default: int) -> int:
         s = self.strength if self.strength is not None else default
@@ -110,13 +107,14 @@ def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Pro
     return suspend_content(model, prop)
 
 
-@dataclass(frozen=True)
-class RevisionRule:
+class RevisionRule(_Value):
     """A named total function from (ranked model, epistemic input) to ranked model."""
 
-    name: str
-    transform: Callable[[RankedModel, EpistemicInput], RankedModel]
-    strength_based: bool = False
+    __slots__ = ("name", "transform", "strength_based")
+
+    def __init__(self, name: str, transform: Callable[[RankedModel, EpistemicInput], RankedModel],
+                 strength_based: bool = False):
+        self._fill(name, transform, strength_based)
 
     def __call__(self, model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
         return apply_rule(self, model, epistemic_input)

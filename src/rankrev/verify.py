@@ -32,7 +32,6 @@ block), so comparing them is still a check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
@@ -48,7 +47,7 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, Universe, _require_same_universe
+from .worlds import Proposition, Universe, _require_same_universe, _Value
 
 DEFAULT_CHECK_BOUND = 8
 # The searches walk every ranked model (Fubini(n)) or every bounded OCF ((m+1)^n).
@@ -57,22 +56,22 @@ DEFAULT_ENUMERATION_BOUND = 6
 DEFAULT_MAX_STRENGTH = 3
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """Enough of a failing case to replay it through the public operations."""
 
-    description: str
-    model: RankedModel | None = None
-    proposition: Proposition | None = None
-    second: Proposition | None = None
-    epistemic_input: EpistemicInput | None = None
-    world_pair: tuple[str, str] | None = None
-    ocf: OCF | None = None
-    strength: int | None = None
+    __slots__ = ("description", "model", "proposition", "second", "epistemic_input",
+                 "world_pair", "ocf", "strength")
+
+    def __init__(self, description: str, model: RankedModel | None = None,
+                 proposition: Proposition | None = None, second: Proposition | None = None,
+                 epistemic_input: EpistemicInput | None = None,
+                 world_pair: tuple[str, str] | None = None, ocf: OCF | None = None,
+                 strength: int | None = None):
+        self._fill(description, model, proposition, second, epistemic_input, world_pair, ocf,
+                   strength)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Value):
     """Result of one checker run: which axiom, verdict, case count, witness on failure.
 
     ``reversal`` is only set by the reversibility checkers on a pass: the
@@ -80,11 +79,11 @@ class AxiomReport:
     prior state.
     """
 
-    axiom: str
-    passed: bool
-    cases: int
-    witness: Witness | None = None
-    reversal: EpistemicInput | int | None = None
+    __slots__ = ("axiom", "passed", "cases", "witness", "reversal")
+
+    def __init__(self, axiom: str, passed: bool, cases: int, witness: Witness | None = None,
+                 reversal: EpistemicInput | int | None = None):
+        self._fill(axiom, passed, cases, witness, reversal)
 
 
 def _check_bound(universe: Universe, max_worlds: int):
@@ -454,19 +453,18 @@ def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_ST
     return None
 
 
-@dataclass(frozen=True)
-class CounterexampleFixture:
+class CounterexampleFixture(_Value):
     """The four-block construction: A spans the first two groups.
 
     ``r1`` ranks the third group above everything else, ``r2`` additionally
     separates the fourth group, and ``r3`` is where believing A sends both.
     """
 
-    universe: Universe
-    prop_a: Proposition
-    r1: RankedModel
-    r2: RankedModel
-    r3: RankedModel
+    __slots__ = ("universe", "prop_a", "r1", "r2", "r3")
+
+    def __init__(self, universe: Universe, prop_a: Proposition, r1: RankedModel,
+                 r2: RankedModel, r3: RankedModel):
+        self._fill(universe, prop_a, r1, r2, r3)
 
 
 def counterexample_fixture(sizes: tuple[int, int, int, int] = (1, 1, 1, 1)) -> CounterexampleFixture:
@@ -498,18 +496,22 @@ def counterexample_fixture(sizes: tuple[int, int, int, int] = (1, 1, 1, 1)) -> C
     return CounterexampleFixture(u, a, r1, r2, r3)
 
 
-@dataclass(frozen=True)
 class CounterexampleReport(AxiomReport):
     """Everything the counterexample argument establishes, for rendering and replay."""
 
-    fixture: CounterexampleFixture | None = None
-    r1_believe: tuple[RankedModel, ...] = ()
-    r2_believe: tuple[RankedModel, ...] = ()
-    r3_believe: tuple[RankedModel, ...] = ()
-    r3_suspend: tuple[RankedModel, ...] = ()
-    r3_disbelieve: tuple[RankedModel, ...] = ()
-    degrees: tuple[tuple[int, int], tuple[int, int]] = ((0, 0), (0, 0))
-    strength_outputs: tuple[tuple[int, RankedModel], ...] = ()
+    __slots__ = ("fixture", "r1_believe", "r2_believe", "r3_believe", "r3_suspend",
+                 "r3_disbelieve", "degrees", "strength_outputs")
+
+    def __init__(self, axiom: str, passed: bool, cases: int, witness: Witness | None = None,
+                 reversal: EpistemicInput | int | None = None,
+                 fixture: CounterexampleFixture | None = None,
+                 r1_believe: tuple[RankedModel, ...] = (), r2_believe: tuple[RankedModel, ...] = (),
+                 r3_believe: tuple[RankedModel, ...] = (), r3_suspend: tuple[RankedModel, ...] = (),
+                 r3_disbelieve: tuple[RankedModel, ...] = (),
+                 degrees: tuple[tuple[int, int], tuple[int, int]] = ((0, 0), (0, 0)),
+                 strength_outputs: tuple[tuple[int, RankedModel], ...] = ()):
+        self._fill(axiom, passed, cases, witness, reversal, fixture, r1_believe, r2_believe,
+                   r3_believe, r3_suspend, r3_disbelieve, degrees, strength_outputs)
 
 
 def counterexample_verify(fixture: CounterexampleFixture | None = None,

@@ -1,11 +1,16 @@
 """Command dispatch, exit codes, and golden output."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rankrev
 from rankrev.cli import main
 
+ROOT = Path(__file__).parents[1]
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.bel")
 GOLDEN = Path(__file__).parent / "golden" / "counterexample.txt"
 # ``counterexample --worlds N`` output; the default (4 worlds) keeps the plain name.
@@ -393,3 +398,36 @@ def test_deep_expression_is_input_error(capsys, text):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "revise")[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    """Each CLI call is a fresh process, so the package keeps its imports light."""
+    src = str(Path(rankrev.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import rankrev.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_benchmark_tracer_finds_its_targets(capsys, monkeypatch):
+    """``perfbench/tracing.py`` wraps rankrev attributes by name: renaming one fails here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    originals = (rankrev.Proposition.__post_init__, rankrev.RankedModel.__init__,
+                 rankrev.cli.check_agm)
+    tracer = tracing.Tracer()
+    tracer.install(rankrev)
+    try:
+        code = run(capsys, "check", "--model", FIXTURE, "--rule", "lex", "--axioms", "agm,b9")[0]
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    summary = tracer.summary()
+    assert summary["counts"]["worlds.Proposition"] > 0
+    assert summary["counts"]["verify.agm.cases"] > 0 and summary["counts"]["verify.b9.cases"] > 0
+    assert {"modelfile.load_model", "ranking.RankedModel", "revision.revise"} <= set(
+        summary["spans"])
+    assert originals == (rankrev.Proposition.__post_init__, rankrev.RankedModel.__init__,
+                         rankrev.cli.check_agm)
