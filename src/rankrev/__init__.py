@@ -9,13 +9,7 @@ irreversibility of ranking-level belief change at desk scale.
 from .errors import InputError, ParseError
 from .expressions import parse_expression
 from .modelfile import ModelFile, format_model, load_model, parse_model, resolve_proposition
-from .ranking import (
-    OCF,
-    Preference,
-    RankedModel,
-    ocf_from_rpm,
-    rpm_from_ocf,
-)
+from .ranking import OCF, RankedModel, ocf_from_rpm, rpm_from_ocf
 from .revision import (
     Attitude,
     EpistemicInput,
@@ -67,7 +61,6 @@ __all__ = [
     "ModelFile",
     "OCF",
     "ParseError",
-    "Preference",
     "Proposition",
     "RankedModel",
     "RevisionRule",

@@ -161,6 +161,9 @@ def _parse_script(text: str, model_file: ModelFile, rule: RevisionRule) -> list[
             prop = resolve_proposition(model_file, prop_text)
         except ParseError as exc:
             raise ParseError(exc.message, line_no, m.start(2) + exc.column) from None
+        if prop.is_empty or prop.is_full:
+            raise ParseError("revision rules reject the contradiction and the tautology",
+                             line_no, m.start(2) + 1)
         if strength and not rule.strength_based:
             raise ParseError("strength needs a strength-based rule (spohn:N)",
                              line_no, m.start(3) + 1)
@@ -268,8 +271,13 @@ def _cmd_counterexample(args) -> int:
 
 
 def render_counterexample(report: CounterexampleReport) -> str:
+    """The report's data and verdict; its conclusions only if it passed."""
     fx = report.fixture
     names = {fx.r1: "r1", fx.r2: "r2", fx.r3: "r3"}
+
+    def conclude(line: str):
+        if report.passed:
+            lines.append(line)
 
     def tagged(model: RankedModel) -> str:
         tag = names.get(model)
@@ -288,30 +296,26 @@ def render_counterexample(report: CounterexampleReport) -> str:
     lines += [f"    {tagged(m)}" for m in report.r1_believe]
     lines.append("  believe A from r2:")
     lines += [f"    {tagged(m)}" for m in report.r2_believe]
-    lines.append("  believing A forces both r1 and r2 onto r3")
+    conclude("  believing A forces both r1 and r2 onto r3")
     lines.append("  believe A from r3:")
     lines += [f"    {tagged(m)}" for m in report.r3_believe]
     lines.append("  suspend A from r3:")
     lines += [f"    {tagged(m)}" for m in report.r3_suspend]
-    lines.append("  neither belief nor suspension can restore r1 or r2")
+    conclude("  neither belief nor suspension can restore r1 or r2")
     lines.append("  disbelieve A from r3:")
     lines += [f"    {tagged(m)}" for m in report.r3_disbelieve]
-    lines.append("  disbelief admits both r1 and r2, but a single-valued rule "
-                 "restores at most one")
+    conclude("  disbelief admits both r1 and r2, but a single-valued rule restores at most one")
     lines.append("")
-    lines.append("rank-derived degrees do not help:")
+    lines.append("rank-derived degrees do not help:" if report.passed else "rank-derived degrees:")
     lines.append(f"  d(A) = {report.degrees[0][0]}, d(~A) = {report.degrees[0][1]} in r1")
     lines.append(f"  d(A) = {report.degrees[1][0]}, d(~A) = {report.degrees[1][1]} in r2")
-    lines.append("  equal degrees: strength inputs cannot separate the two histories")
+    conclude("  equal degrees: strength inputs cannot separate the two histories")
     lines.append("  conditionalizing r3 (read as ranks) on A by strength:")
     for beta, out in report.strength_outputs:
         lines.append(f"    {beta:+d} -> {tagged(out)}")
-    reached = {names.get(out) for _, out in report.strength_outputs}
-    hit = sorted(n for n in reached if n in ("r1", "r2"))
-    if hit:
-        lines.append(f"  reaches {' and '.join(hit)} but never both r1 and r2")
-    else:
-        lines.append("  reaches neither r1 nor r2")
+    hit = sorted({names.get(out) for _, out in report.strength_outputs} & {"r1", "r2"})
+    conclude(f"  reaches {' and '.join(hit)} but never both r1 and r2" if hit
+             else "  reaches neither r1 nor r2")
     lines.append("")
     if report.passed:
         lines.append("verdict: pass — no single-valued rule satisfying B9 and B10 "

@@ -8,7 +8,7 @@ Grammar, loosest to tightest binding::
     unary := '~' unary | '(' expr ')' | ATOM
 
 No tree is built: each rule returns the bitmask of the worlds where its part
-holds.  An atom is its column of the universe's valuations, ``~`` the
+holds.  An atom is its world mask (``Universe.atom_masks``), ``~`` the
 complement, ``&`` and ``|`` intersection and union, and ``l -> r`` the union
 of ``r`` with the complement of ``l``.  Expressions nested deeper than
 ``MAX_NESTING`` levels are rejected with a ``ParseError``.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import InputError, ParseError
+from .errors import ParseError
 from .worlds import Proposition, Universe
 
 # Deepest accepted nesting: at most this many '~', '(' and '->' enclose any
@@ -31,16 +31,14 @@ _TOKEN = re.compile(r"(->|[~&|()]|[A-Za-z_][A-Za-z0-9_]*)|\S")
 
 
 class _Parser:
-    def __init__(self, text: str, universe: Universe, line: int):
-        self.columns = {atom: sum(1 << i for i, row in enumerate(universe.valuations) if row[j])
-                        for j, atom in enumerate(universe.atoms)}
+    def __init__(self, text: str, universe: Universe):
+        self.atoms = universe.atom_masks()
         self.full = (1 << len(universe.worlds)) - 1
-        self.line = line
         # Tokens are (text, column) pairs; ("", end column) marks the end.
         self.tokens = []
         for m in _TOKEN.finditer(text):
             if m.group(1) is None:
-                raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
+                raise ParseError(f"unexpected character {m.group()!r}", column=m.start() + 1)
             self.tokens.append((m.group(), m.start() + 1))
         self.tokens.append(("", len(text) + 1))
         self.pos = 0
@@ -51,15 +49,14 @@ class _Parser:
     def take(self) -> tuple[str, int]:
         text, column = self.tokens[self.pos]
         if not text:
-            raise ParseError("unexpected end of expression", self.line, column)
+            raise ParseError("unexpected end of expression", column=column)
         self.pos += 1
         return text, column
 
     def nested(self, level: int, column: int) -> int:
         """``level`` if it is within the nesting limit; a ParseError at ``column`` if not."""
         if level > MAX_NESTING:
-            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
-                             self.line, column)
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", column=column)
         return level
 
     # Each rule takes the number of enclosing '~', '(' and '->' (which bounds
@@ -100,22 +97,24 @@ class _Parser:
             inner = self.expr(self.nested(depth + 1, column))
             closing, closing_column = self.take()
             if closing != ")":
-                raise ParseError(f"expected ')', got {closing!r}", self.line, closing_column)
+                raise ParseError(f"expected ')', got {closing!r}", column=closing_column)
             return inner
         if not text.isidentifier():
-            raise ParseError(f"expected an atom, '~', or '(', got {text!r}", self.line, column)
-        if text not in self.columns:
-            raise ParseError(f"unknown atom {text!r}", self.line, column)
-        return self.columns[text], 0
+            raise ParseError(f"expected an atom, '~', or '(', got {text!r}", column=column)
+        if text not in self.atoms:
+            raise ParseError(f"unknown atom {text!r}", column=column)
+        return self.atoms[text], 0
 
 
-def parse_expression(text: str, universe: Universe, line: int = 1) -> Proposition:
-    """The worlds of ``universe`` where ``text`` holds; diagnostics are 1-based."""
-    if universe.valuations is None:
-        raise InputError("an expression needs a universe with atom valuations")
-    parser = _Parser(text, universe, line)
+def parse_expression(text: str, universe: Universe) -> Proposition:
+    """The worlds of ``universe`` where ``text`` holds.
+
+    A ``ParseError`` is at line 1 and a 1-based column of ``text``; callers
+    reading a file re-raise it at their own line and column.
+    """
+    parser = _Parser(text, universe)
     mask, _ = parser.expr(0)
     trailing, column = parser.peek()
     if trailing:
-        raise ParseError(f"unexpected {trailing!r} after expression", line, column)
+        raise ParseError(f"unexpected {trailing!r} after expression", column=column)
     return Proposition(universe, mask)

@@ -199,7 +199,7 @@ class _ModelReader:
             self.props[name] = self._labels_to_prop(line_no, m.group(1).split())
             return
         try:
-            self.props[name] = parse_expression(rest, self.universe, line=line_no)
+            self.props[name] = parse_expression(rest, self.universe)
         except ParseError as exc:
             raise ParseError(exc.message, line_no, exc.column + offset) from None
 

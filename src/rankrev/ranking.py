@@ -15,19 +15,10 @@ representations under iterated change.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Mapping
 
 from .errors import InputError
 from .worlds import Proposition, Universe, _require_same_universe, _set, _Value
-
-
-class Preference(Enum):
-    """Outcome of comparing two worlds by rank."""
-
-    FIRST = "first"
-    SECOND = "second"
-    TIE = "tie"
 
 
 class RankedModel(_Value):
@@ -79,10 +70,8 @@ class RankedModel(_Value):
             pass
         out = [0] * len(self.universe.worlds)
         for r, block in enumerate(self.blocks):
-            m = block.mask
-            while m:
-                out[(m & -m).bit_length() - 1] = r
-                m &= m - 1
+            for i in block.indices():
+                out[i] = r
         _set(self, "_ranks", tuple(out))
         return self._ranks
 
@@ -109,16 +98,6 @@ class RankedModel(_Value):
             raise InputError("degree of the contradiction is undefined")
         ranks = self.ranks()
         return min(ranks[i] for i in prop.indices())
-
-    def preference(self, w1: str, w2: str) -> Preference:
-        if w1 == w2:
-            raise InputError("preference needs two distinct worlds")
-        r1, r2 = self.rank_of(w1), self.rank_of(w2)
-        if r1 < r2:
-            return Preference.FIRST
-        if r1 > r2:
-            return Preference.SECOND
-        return Preference.TIE
 
     def __str__(self) -> str:
         return " ".join("[" + " ".join(b.labels()) + "]" for b in self.blocks)

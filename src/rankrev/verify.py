@@ -44,6 +44,7 @@ from .revision import (
     _side_chain,
     apply_rule,
     required_content,
+    reverse_strength,
     revise,
     spohn_conditionalize,
 )
@@ -214,31 +215,37 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     return AxiomReport(axiom, True, cases)
 
 
+# How world i compares with world j, by the sign of rank(i) - rank(j).
+_ORDER_WORDS = {-1: "first", 0: "tie", 1: "second"}
+
+
 def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Proposition,
                              attitude: Attitude = Attitude.BELIEVE) -> AxiomReport:
     """Check that a rule keeps the relative order of worlds within each side.
 
     The iteration axioms force this for any rule: comparing two same-side
     worlds before and after the change must give the same verdict, ties
-    included.
+    included.  Each same-side pair i < j compares the sign of its rank
+    difference in the prior's and the posterior's rank vectors.
     """
     if prop.is_empty or prop.is_full:
         raise InputError("order preservation needs a non-degenerate proposition")
     revised = apply_rule(rule, model, EpistemicInput(prop, attitude))
-    u = model.universe
+    _require_same_universe(revised.blocks[0], prop)
+    before, after = model.ranks(), revised.ranks()
+    worlds, mask = model.universe.worlds, prop.mask
     cases = 0
-    for i in range(len(u.worlds)):
-        for j in range(i + 1, len(u.worlds)):
-            same_side = (prop.mask >> i & 1) == (prop.mask >> j & 1)
-            if not same_side:
+    for i in range(len(worlds)):
+        for j in range(i + 1, len(worlds)):
+            if (mask >> i & 1) != (mask >> j & 1):
                 continue
             cases += 1
-            w1, w2 = u.worlds[i], u.worlds[j]
-            before = model.preference(w1, w2)
-            after = revised.preference(w1, w2)
-            if before != after:
+            was = (before[i] > before[j]) - (before[i] < before[j])
+            now = (after[i] > after[j]) - (after[i] < after[j])
+            if was != now:
+                w1, w2 = worlds[i], worlds[j]
                 detail = (f"order within a side of {prop} not preserved: "
-                          f"{w1} vs {w2} was {before.value}, now {after.value}")
+                          f"{w1} vs {w2} was {_ORDER_WORDS[was]}, now {_ORDER_WORDS[now]}")
                 return AxiomReport("order", False, cases,
                                    Witness(detail, model=model, proposition=prop,
                                            epistemic_input=EpistemicInput(prop, attitude),
@@ -391,17 +398,20 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
 
 def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
                             max_strength: int = DEFAULT_MAX_STRENGTH) -> AxiomReport:
-    """OCF-level reversibility: search signed strengths for one that restores ``ocf``."""
+    """OCF-level reversibility: is the one strength that can restore ``ocf`` in bound?
+
+    Conditionalizing on A sets κ(¬A) − κ(A) to the strength and keeps the
+    differences within each side, so only β = ``reverse_strength(ocf, prop)``
+    can restore ``ocf``.  ``cases`` counts what a scan from -max_strength tries.
+    """
     _check_strength_bound(max_strength)
     conditioned = spohn_conditionalize(ocf, prop, alpha)
-    cases = 0
-    for beta in range(-max_strength, max_strength + 1):
-        cases += 1
-        if spohn_conditionalize(conditioned, prop, beta) == ocf:
-            return AxiomReport("R", True, cases, reversal=beta)
+    beta = reverse_strength(ocf, prop)
+    if abs(beta) <= max_strength and spohn_conditionalize(conditioned, prop, beta) == ocf:
+        return AxiomReport("R", True, beta + max_strength + 1, reversal=beta)
     detail = (f"no strength within ±{max_strength} undoes conditionalizing {ocf} "
               f"on {prop} with strength {alpha}")
-    return AxiomReport("R", False, cases,
+    return AxiomReport("R", False, 2 * max_strength + 1,
                        Witness(detail, ocf=ocf, proposition=prop, strength=alpha))
 
 

@@ -77,7 +77,7 @@ class Universe(_Value):
     an identical valuation row.
     """
 
-    __slots__ = ("worlds", "atoms", "valuations")
+    __slots__ = ("worlds", "atoms", "valuations", "_atom_masks")
 
     def __init__(self, worlds: Iterable[str], atoms: Iterable[str] = (),
                  valuations: Iterable[Iterable[bool]] | None = None):
@@ -97,6 +97,9 @@ class Universe(_Value):
             if len(set(valuations)) != len(valuations):
                 raise InputError("no two worlds may share an identical valuation")
         self._fill(worlds, atoms, valuations)
+        _set(self, "_atom_masks", None if valuations is None else {
+            atom: sum(1 << i for i, true in enumerate(column) if true)
+            for atom, column in zip(atoms, zip(*valuations))})
 
     @classmethod
     def from_atoms(cls, atoms: tuple[str, ...] | list[str]) -> Universe:
@@ -118,6 +121,12 @@ class Universe(_Value):
             for row in rows
         )
         return cls(worlds=labels, atoms=atoms, valuations=rows)
+
+    def atom_masks(self) -> dict[str, int]:
+        """Each atom's world mask, the worlds where it is true; shared, so not to be changed."""
+        if self._atom_masks is None:
+            raise InputError("universe has no atom valuations")
+        return self._atom_masks
 
     def index(self, label: str) -> int:
         try:
@@ -179,14 +188,18 @@ class Proposition(_Value):
         return self.mask == (1 << len(self.universe.worlds)) - 1
 
     def indices(self) -> tuple[int, ...]:
-        n = len(self.universe.worlds)
-        return tuple(i for i in range(n) if self.mask >> i & 1)
+        """The world indices in the mask, ascending: one step per set bit."""
+        out, m = [], self.mask
+        while m:
+            out.append((m & -m).bit_length() - 1)
+            m &= m - 1
+        return tuple(out)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.universe.worlds[i] for i in self.indices())
 
     def complement(self) -> Proposition:
-        return Proposition(self.universe, self.universe.tautology().mask ^ self.mask)
+        return Proposition(self.universe, ((1 << len(self.universe.worlds)) - 1) ^ self.mask)
 
     def intersect(self, other: Proposition) -> Proposition:
         _require_same_universe(self, other)

@@ -11,18 +11,24 @@ versions of the library's constructions: they filter or scan every ranked
 model in canonical order.  The library must return equal results, order
 included.
 
+``check_order_preservation`` and ``check_ocf_reversibility`` are the
+search versions of the library's two read-offs: the first compares every
+same-side pair of world labels through ``rank_of``, the second tries every
+signed strength in the bound.  The library must return equal reports.
+
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
 
 The rules and ``ranks`` are the object-level versions of the library's
 mask kernel: each side chain is a list of ``Proposition``s, spohn
-round-trips through an ``OCF``, and ranks are read off ``indices()``.  The
-library's rules must return equal posteriors.
+round-trips through an ``OCF``, and ranks scan every world index of each
+block.  The library's rules must return equal posteriors.
 """
 
 from typing import Iterator, Mapping
 
 from rankrev import (
+    OCF,
     Attitude,
     AxiomReport,
     EpistemicInput,
@@ -148,6 +154,52 @@ def check_degree_conditions(model: RankedModel, max_worlds: int) -> AxiomReport:
     return AxiomReport("degrees", True, cases)
 
 
+def _preference(model: RankedModel, w1: str, w2: str) -> str:
+    r1, r2 = model.rank_of(w1), model.rank_of(w2)
+    return "first" if r1 < r2 else "second" if r1 > r2 else "tie"
+
+
+def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Proposition,
+                             attitude: Attitude = Attitude.BELIEVE) -> AxiomReport:
+    if prop.is_empty or prop.is_full:
+        raise InputError("order preservation needs a non-degenerate proposition")
+    revised = apply_rule(rule, model, EpistemicInput(prop, attitude))
+    u = model.universe
+    cases = 0
+    for i in range(len(u.worlds)):
+        for j in range(i + 1, len(u.worlds)):
+            if (prop.mask >> i & 1) != (prop.mask >> j & 1):
+                continue
+            cases += 1
+            w1, w2 = u.worlds[i], u.worlds[j]
+            before = _preference(model, w1, w2)
+            after = _preference(revised, w1, w2)
+            if before != after:
+                detail = (f"order within a side of {prop} not preserved: "
+                          f"{w1} vs {w2} was {before}, now {after}")
+                return AxiomReport("order", False, cases,
+                                   Witness(detail, model=model, proposition=prop,
+                                           epistemic_input=EpistemicInput(prop, attitude),
+                                           world_pair=(w1, w2)))
+    return AxiomReport("order", True, cases)
+
+
+def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
+                            max_strength: int) -> AxiomReport:
+    if max_strength < 0:
+        raise InputError("max strength must be at least 0")
+    conditioned = spohn_conditionalize(ocf, prop, alpha)
+    cases = 0
+    for beta in range(-max_strength, max_strength + 1):
+        cases += 1
+        if spohn_conditionalize(conditioned, prop, beta) == ocf:
+            return AxiomReport("R", True, cases, reversal=beta)
+    detail = (f"no strength within ±{max_strength} undoes conditionalizing {ocf} "
+              f"on {prop} with strength {alpha}")
+    return AxiomReport("R", False, cases,
+                       Witness(detail, ocf=ocf, proposition=prop, strength=alpha))
+
+
 def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,
                            max_worlds: int = DEFAULT_ENUMERATION_BOUND) -> tuple[RankedModel, ...]:
     prop = epistemic_input.proposition
@@ -204,10 +256,12 @@ def representation_check(table: Mapping[Proposition, Proposition],
 
 
 def ranks(model: RankedModel) -> tuple[int, ...]:
-    out = [0] * len(model.universe.worlds)
+    n = len(model.universe.worlds)
+    out = [0] * n
     for r, block in enumerate(model.blocks):
-        for i in block.indices():
-            out[i] = r
+        for i in range(n):
+            if block.mask >> i & 1:
+                out[i] = r
     return tuple(out)
 
 

@@ -200,17 +200,24 @@ def test_iterate_bad_script_line(capsys, tmp_path):
     assert "expected" in err
 
 
-@pytest.mark.parametrize("script, column", [("believe A\nbelieve A & C\n", 13),
-                                            ("believe A\n   believe A & C\n", 16)],
-                         ids=["plain", "indented"])
-def test_iterate_expression_error_column(capsys, tmp_path, script, column):
+DEGENERATE = "revision rules reject the contradiction and the tautology"
+
+
+# Each error names the expression's line and column, before any step is printed.
+@pytest.mark.parametrize("script, column, message",
+                         [("believe A\nbelieve A & C\n", 13, "unknown atom 'C'"),
+                          ("believe A\n   believe A & C\n", 16, "unknown atom 'C'"),
+                          ("believe A\nbelieve A | ~A\n", 9, DEGENERATE),
+                          ("believe A\n  suspend A & ~A\n", 11, DEGENERATE)],
+                         ids=["plain", "indented", "tautology", "contradiction"])
+def test_iterate_expression_error_column(capsys, tmp_path, script, column, message):
     path = tmp_path / "steps.txt"
     path.write_text(script, encoding="utf-8")
     code, out, err = run(capsys, "iterate", "--model", FIXTURE, "--state", "r1",
                          "--rule", "lex", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: 2:{column}: unknown atom 'C'\n"
+    assert err == f"error: 2:{column}: {message}\n"
 
 
 @pytest.mark.parametrize("rule", ["lex", "natural"])

@@ -9,6 +9,9 @@ compared with the references' filter and scan over every ranked model.
 
 The rules and ``ranks()``, which compute on block masks, are compared with
 the references' object-level bodies, posterior for posterior.
+
+Order preservation and OCF reversal, which the library reads off rank
+vectors and ``reverse_strength``, are compared with the references' searches.
 """
 
 import itertools
@@ -28,6 +31,7 @@ from conftest import (
     last_consistent_block,
     max_rank_degree,
     models_with_input,
+    plain_universe,
     ranked_models,
     reverse_accepted_rule,
     shifted_degree,
@@ -305,3 +309,52 @@ def test_iteration_rejects_rule_output_over_another_universe(axiom):
     for check in (rr.check_iteration_axiom, reference.check_iteration_axiom):
         with pytest.raises(rr.InputError, match="operands are over different universes"):
             check(rule, axiom, model, 5)
+
+
+# ---------------------------------------------------------------------------
+# read-offs against the searches they replace
+
+
+ORDER_RULES = [rr.lexicographic_rule, rr.natural_rule, rr.flip_rule, rr.spohn_rule(1),
+               rr.spohn_rule(2), reverse_accepted_rule]
+
+
+@pytest.mark.parametrize("rule", ORDER_RULES, ids=lambda r: r.name)
+def test_order_preservation_matches_pair_scan_up_to_four_worlds(rule):
+    failed = 0
+    for n in (2, 3, 4):
+        u = plain_universe(n)
+        for model in rr.enumerate_ranked_models(u):
+            for mask in range(1, (1 << n) - 1):
+                prop = u.prop_from_mask(mask)
+                for attitude in rr.Attitude:
+                    report = rr.check_order_preservation(rule, model, prop, attitude)
+                    assert report == reference.check_order_preservation(rule, model, prop,
+                                                                        attitude)
+                    failed += not report.passed
+    assert bool(failed) == (rule in (rr.flip_rule, reverse_accepted_rule))
+
+
+def test_order_preservation_rejects_rule_output_over_another_universe():
+    rule = rr.RevisionRule("other-universe", _other_universe_lex)
+    with pytest.raises(rr.InputError, match="operands are over different universes"):
+        rr.check_order_preservation(rule, ALL_MODELS_4[20], U4.prop("AB", "Ab"))
+
+
+def test_ocf_reversal_matches_strength_scan_up_to_four_worlds():
+    # Values up to 4 (3 at four worlds, to keep it short) against bounds 0..4,
+    # so both verdicts occur.
+    passed = failed = 0
+    for n, max_value in ((2, 4), (3, 4), (4, 3)):
+        u = plain_universe(n)
+        for ocf in rr.enumerate_ocfs(u, max_value):
+            for mask in range(1, (1 << n) - 1):
+                prop = u.prop_from_mask(mask)
+                for max_strength in range(5):
+                    for alpha in (max_strength + 1, -max_strength - 1):
+                        report = rr.check_ocf_reversibility(ocf, prop, alpha, max_strength)
+                        assert report == reference.check_ocf_reversibility(ocf, prop, alpha,
+                                                                           max_strength)
+                        passed += report.passed
+                        failed += not report.passed
+    assert passed and failed

@@ -97,12 +97,6 @@ def test_expression_needs_valuations():
     assert "valuations" in str(exc.value)
 
 
-def test_line_is_threaded_into_diagnostics():
-    with pytest.raises(ParseError) as exc:
-        parse_expression("A | |", rr.Universe.from_atoms(("A",)), line=7)
-    assert exc.value.line == 7
-
-
 # Oracle: sympy evaluates the same corpus per world.  Implication is written
 # with explicit parentheses because Python's >> associates the other way.
 CORPUS = [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import rankrev as rr
-from rankrev import InputError, Preference
+from rankrev import InputError
 
 from conftest import ALL_MODELS_4, U4, collapse, ocfs, ranked_models
 
@@ -38,14 +38,6 @@ def test_disbelief_degree(uni, r1, r2, prop_a):
     assert r2.disbelief_degree(uni.prop("ab")) == 2
     with pytest.raises(InputError):
         r1.disbelief_degree(uni.contradiction())
-
-
-def test_preference(r1, r2, r3):
-    assert r2.preference("aB", "AB") is Preference.FIRST
-    assert r1.preference("AB", "Ab") is Preference.TIE
-    assert r3.preference("ab", "aB") is Preference.SECOND
-    with pytest.raises(InputError):
-        r1.preference("AB", "AB")
 
 
 def test_kappa_degree(uni, k1):
@@ -106,19 +98,21 @@ def test_degree_equals_first_consistent_block_exhaustive():
 
 
 def test_preference_agrees_with_pair_revision_exhaustive():
+    # Revising by a pair of worlds keeps the lower-ranked one, or both on a tie.
     for model in ALL_MODELS_4:
-        for w1 in U4.worlds:
-            for w2 in U4.worlds:
-                if w1 == w2:
+        ranks = model.ranks()
+        for i, w1 in enumerate(U4.worlds):
+            for j, w2 in enumerate(U4.worlds):
+                if i == j:
                     continue
                 pair = U4.prop(w1, w2)
                 revised = rr.revise(model, pair)
-                expected = {
-                    Preference.FIRST: U4.prop(w1),
-                    Preference.SECOND: U4.prop(w2),
-                    Preference.TIE: pair,
-                }[model.preference(w1, w2)]
-                assert revised == expected
+                if ranks[i] < ranks[j]:
+                    assert revised == U4.prop(w1)
+                elif ranks[i] > ranks[j]:
+                    assert revised == U4.prop(w2)
+                else:
+                    assert revised == pair
 
 
 @given(ranked_models())

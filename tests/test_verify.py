@@ -140,7 +140,17 @@ def test_order_preservation_flip_fails(r2):
     assert not report.passed
     w1, w2 = report.witness.world_pair
     revised = rr.apply_rule(rr.flip_rule, r2, EpistemicInput(A, Attitude.BELIEVE))
-    assert r2.preference(w1, w2) != revised.preference(w1, w2)
+    pair = U4.prop(w1, w2)
+    assert pair.entails(A) or pair.entails(~A)
+
+    def order(model):
+        a, b = model.rank_of(w1), model.rank_of(w2)
+        return (a > b) - (a < b)
+
+    assert order(r2) != order(revised)
+    words = {-1: "first", 0: "tie", 1: "second"}
+    assert report.witness.description.endswith(
+        f"{w1} vs {w2} was {words[order(r2)]}, now {words[order(revised)]}")
 
 
 def test_order_preservation_rejects_degenerate(r1, uni):
@@ -318,8 +328,14 @@ def test_counterexample_checker_can_fail_and_witness_replays():
     believe = EpistemicInput(w.proposition, Attitude.BELIEVE)
     assert rr.constrained_successors(fx.r1, believe) != (w.model,)
     assert rr.constrained_successors(fx.r1, believe) == (fx.r3,)
-    assert render_counterexample(report).endswith(
-        f"verdict: FAIL — {w.description}\n")
+    text = render_counterexample(report)
+    assert text.endswith(f"verdict: FAIL — {w.description}\n")
+    # the data is printed, but none of the conclusions the failure contradicts
+    assert "  believe A from r1:\n    [AB Ab] [aB] [ab]\n" in text
+    assert "    -2 -> [aB] [AB Ab ab]  (= r1)\n" in text
+    for conclusion in ("forces both", "never both", "reaches neither", "can restore",
+                       "restores at most one", "do not help", "cannot separate"):
+        assert conclusion not in text
 
 
 def _forbid_enumeration(monkeypatch):

@@ -16,6 +16,21 @@ def test_auto_universe_labels_and_order(uni):
     assert uni.valuations[uni.index("ab")] == (False, False)
 
 
+def test_atom_masks_are_valuation_columns():
+    u = rr.Universe.from_atoms(("A", "B", "C"))
+    for j, atom in enumerate(u.atoms):
+        assert u.atom_masks()[atom] == sum(1 << i for i, row in enumerate(u.valuations) if row[j])
+    assert u.atom_masks() is u.atom_masks()  # computed once per universe
+    with pytest.raises(InputError, match="valuations"):
+        rr.Universe(("w1", "w2")).atom_masks()
+
+
+def test_indices_are_the_set_bits_ascending():
+    u = rr.Universe(tuple(f"w{i}" for i in range(9)))
+    for mask in range(1 << 9):
+        assert u.prop_from_mask(mask).indices() == tuple(i for i in range(9) if mask >> i & 1)
+
+
 def test_universe_validation():
     with pytest.raises(InputError):
         rr.Universe(())
