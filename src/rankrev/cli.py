@@ -28,6 +28,7 @@ from .verify import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_MAX_STRENGTH,
     CounterexampleReport,
+    _check_bound,
     _check_strength_bound,
     check_agm,
     check_degree_conditions,
@@ -207,6 +208,8 @@ def _cmd_check(args) -> int:
     rule = rule_by_name(args.rule) if args.rule else None
     if needs_rule and rule is None:
         raise InputError(f"--rule is required for {', '.join(needs_rule)}")
+    if any(a in ("agm", "b9", "b10", "degrees") for a in axioms):
+        _check_bound(mf.universe, args.max_worlds)
     states = _ranked_states(mf, args.state)
     props = _nondegenerate_props(mf)
     failures = 0
@@ -273,15 +276,18 @@ def _cmd_counterexample(args) -> int:
 def render_counterexample(report: CounterexampleReport) -> str:
     """The report's data and verdict; its conclusions only if it passed."""
     fx = report.fixture
-    names = {fx.r1: "r1", fx.r2: "r2", fx.r3: "r3"}
+
+    def names(model: RankedModel) -> list[str]:
+        # Every fixture name the model equals: two fixture rankings may be equal.
+        return [name for name in ("r1", "r2", "r3") if getattr(fx, name) == model]
 
     def conclude(line: str):
         if report.passed:
             lines.append(line)
 
     def tagged(model: RankedModel) -> str:
-        tag = names.get(model)
-        return f"{model}  (= {tag})" if tag else str(model)
+        tags = names(model)
+        return f"{model}  (= {', '.join(tags)})" if tags else str(model)
 
     lines = [
         f"counterexample: {len(fx.universe.worlds)} worlds "
@@ -313,7 +319,7 @@ def render_counterexample(report: CounterexampleReport) -> str:
     lines.append("  conditionalizing r3 (read as ranks) on A by strength:")
     for beta, out in report.strength_outputs:
         lines.append(f"    {beta:+d} -> {tagged(out)}")
-    hit = sorted({names.get(out) for _, out in report.strength_outputs} & {"r1", "r2"})
+    hit = sorted({n for _, out in report.strength_outputs for n in names(out)} & {"r1", "r2"})
     conclude(f"  reaches {' and '.join(hit)} but never both r1 and r2" if hit
              else "  reaches neither r1 nor r2")
     lines.append("")
@@ -336,10 +342,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_represent(args) -> int:
     mf = load_model(args.model)
+    _check_bound(mf.universe, args.max_worlds)
     states = _ranked_states(mf, args.state)
     failures = 0
     for name, state in states:
-        recovered = representation_check(revision_table(state), args.max_worlds)
+        recovered = representation_check(revision_table(state))
         if recovered == state:
             print(f"{name}: recovered exactly")
         else:
@@ -359,6 +366,7 @@ def _result(failures: int, noun: str) -> int:
 
 def _cmd_degrees(args) -> int:
     mf = load_model(args.model)
+    _check_bound(mf.universe, args.max_worlds)
     if args.state in mf.rpms:
         state = mf.rpms[args.state]
         degree = state.disbelief_degree

@@ -106,8 +106,6 @@ class _ModelReader:
     def _atoms(self, line_no: int, line: str):
         if self.atoms is not None:
             raise ParseError("atoms already declared", line_no)
-        if self.universe is not None:
-            raise ParseError("atoms must be declared before anything else", line_no)
         names = line.split()[1:]
         if not names:
             raise ParseError("atoms declaration needs at least one name", line_no)

@@ -132,8 +132,7 @@ class OCF(_Value):
 
     def degree(self, prop: Proposition) -> int:
         """Minimum value over the proposition's worlds; undefined for the contradiction."""
-        if prop.universe != self.universe:
-            raise InputError("operands are over different universes")
+        _require_same_universe(self, prop)
         if prop.is_empty:
             raise InputError("degree of the contradiction is undefined")
         return min(self.values[i] for i in prop.indices())

@@ -34,7 +34,7 @@ from typing import Callable
 
 from .errors import InputError
 from .ranking import OCF, RankedModel, _from_masks
-from .worlds import Proposition, _Value
+from .worlds import Proposition, _require_same_universe, _Value
 
 
 class Attitude(Enum):
@@ -122,13 +122,18 @@ class RevisionRule(_Value):
 
 def apply_rule(rule: RevisionRule, model: RankedModel,
                epistemic_input: EpistemicInput) -> RankedModel:
-    """Validated rule application; rejects contradiction and tautology inputs."""
-    prop = epistemic_input.proposition
-    if prop.universe != model.universe:
-        raise InputError("input proposition is over a different universe")
+    """Validated rule application: a revisable input, an output over the model's universe."""
+    _require_revisable(model, epistemic_input.proposition)
+    posterior = rule.transform(model, epistemic_input)
+    _require_same_universe(posterior, model)
+    return posterior
+
+
+def _require_revisable(state: RankedModel | OCF, prop: Proposition):
+    """The contract of every revision input: over the state's universe, neither ⊥ nor ⊤."""
+    _require_same_universe(state, prop)
     if prop.is_empty or prop.is_full:
         raise InputError("revision rules reject the contradiction and the tautology")
-    return rule.transform(model, epistemic_input)
 
 
 def _side_chain(model: RankedModel, side: int) -> list[int]:
@@ -180,10 +185,7 @@ def spohn_conditionalize(ocf: OCF, prop: Proposition, alpha: int) -> OCF:
     a negative strength means believing the complement.  The result is
     normalized by construction and assigns the non-target side degree |alpha|.
     """
-    if prop.universe != ocf.universe:
-        raise InputError("proposition is over a different universe")
-    if prop.is_empty or prop.is_full:
-        raise InputError("conditionalization rejects the contradiction and the tautology")
+    _require_revisable(ocf, prop)
     target = prop if alpha >= 0 else prop.complement()
     shift_in = ocf.degree(target)
     shift_out = ocf.degree(target.complement()) - abs(alpha)
@@ -200,10 +202,7 @@ def reverse_strength(ocf: OCF, prop: Proposition) -> int:
     Conditionalizing any (prop, alpha)-successor of ``ocf`` by (prop, beta)
     with the returned beta restores ``ocf`` exactly.
     """
-    if prop.universe != ocf.universe:
-        raise InputError("proposition is over a different universe")
-    if prop.is_empty or prop.is_full:
-        raise InputError("reversal is undefined for the contradiction and the tautology")
+    _require_revisable(ocf, prop)
     return ocf.degree(prop.complement()) - ocf.degree(prop)
 
 

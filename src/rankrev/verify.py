@@ -41,6 +41,7 @@ from .revision import (
     Attitude,
     EpistemicInput,
     RevisionRule,
+    _require_revisable,
     _side_chain,
     apply_rule,
     required_content,
@@ -48,7 +49,7 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, Universe, _require_same_universe, _Value
+from .worlds import Proposition, Universe, _Value
 
 DEFAULT_CHECK_BOUND = 8
 # The searches walk every ranked model (Fubini(n)) or every bounded OCF ((m+1)^n).
@@ -197,7 +198,6 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     for a_mask in range(1, full):
         a = u.prop_from_mask(a_mask)
         revised = apply_rule(rule, model, EpistemicInput(a, Attitude.BELIEVE))
-        _require_same_universe(revised.blocks[0], a)
         blocks = [block.mask for block in revised.blocks]
         side = a_mask if axiom == "B9" else full ^ a_mask
         for b_mask in _nonempty_submasks(side):
@@ -228,10 +228,7 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
     included.  Each same-side pair i < j compares the sign of its rank
     difference in the prior's and the posterior's rank vectors.
     """
-    if prop.is_empty or prop.is_full:
-        raise InputError("order preservation needs a non-degenerate proposition")
     revised = apply_rule(rule, model, EpistemicInput(prop, attitude))
-    _require_same_universe(revised.blocks[0], prop)
     before, after = model.ranks(), revised.ranks()
     worlds, mask = model.universe.worlds, prop.mask
     cases = 0
@@ -340,10 +337,7 @@ def constrained_successors(model: RankedModel,
     canonical enumeration order.
     """
     prop = epistemic_input.proposition
-    if prop.universe != model.universe:
-        raise InputError("input proposition is over a different universe")
-    if prop.is_empty or prop.is_full:
-        raise InputError("successor enumeration needs a non-degenerate proposition")
+    _require_revisable(model, prop)
     first = required_content(model, epistemic_input).mask
     accepted = _side_chain(model, prop.mask & ~first)
     rejected = _side_chain(model, ~prop.mask & ~first)
@@ -589,8 +583,7 @@ def revision_table(model: RankedModel) -> dict[Proposition, Proposition]:
     return {p: revise(model, p) for p in model.universe.propositions() if not p.is_empty}
 
 
-def representation_check(table: Mapping[Proposition, Proposition],
-                         max_worlds: int = DEFAULT_CHECK_BOUND) -> RankedModel | None:
+def representation_check(table: Mapping[Proposition, Proposition]) -> RankedModel | None:
     """Find the ranked model defining a revision table, if one exists.
 
     The table must be total over the non-empty propositions of one universe.
@@ -601,7 +594,6 @@ def representation_check(table: Mapping[Proposition, Proposition],
     if not table:
         raise InputError("empty revision table")
     universe = next(iter(table)).universe
-    _check_bound(universe, max_worlds)
     full = universe.tautology().mask
     masks = {p.mask for p in table}
     if any(p.universe != universe for p in table):

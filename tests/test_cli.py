@@ -12,6 +12,7 @@ from rankrev.cli import main
 
 ROOT = Path(__file__).parents[1]
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.bel")
+FIVE_ATOMS = str(Path(__file__).parent / "data" / "five-atoms.bel")
 GOLDEN = Path(__file__).parent / "golden" / "counterexample.txt"
 # ``counterexample --worlds N`` output; the default (4 worlds) keeps the plain name.
 GOLDENS = {4: GOLDEN, 5: GOLDEN.with_name("counterexample-5.txt"),
@@ -35,6 +36,7 @@ def test_enumerate_over_bound(capsys):
     code, _, err = run(capsys, "enumerate", "--worlds", "9")
     assert code == 2
     assert "error" in err
+    assert run(capsys, "enumerate", "--worlds", "0") == (2, "", "error: need at least one world\n")
 
 
 def test_revise(capsys):
@@ -153,6 +155,19 @@ def test_represent(capsys):
     ]
 
 
+def test_represent_reports_a_state_it_cannot_recover(capsys, monkeypatch):
+    monkeypatch.setattr(rankrev.cli, "representation_check", lambda table: None)
+    code, out, _ = run(capsys, "represent", "--model", FIXTURE, "--state", "r2")
+    assert (code, out) == (1, "r2: NOT recovered (got None)\nresult: FAIL (1 state)\n")
+
+
+def test_file_without_ranked_states_is_input_error(capsys, tmp_path):
+    model = tmp_path / "props.bel"
+    model.write_text("atoms A\nworlds auto\nprop p = A\n", encoding="utf-8")
+    assert run(capsys, "represent", "--model", str(model)) == (
+        2, "", "error: model file declares no ranked states\n")
+
+
 def test_degrees(capsys):
     code, out, _ = run(capsys, "degrees", "--model", FIXTURE, "--state", "r1")
     assert code == 0
@@ -178,6 +193,16 @@ def test_degrees_on_ocf_state_are_kappa_degrees(capsys, tmp_path):
     assert "as ranking = [AB] [Ab aB] [ab]" in out
     assert "d(A) = 0, d(~A) = 3: A is believed" in out
     assert "degree conditions: pass" in out
+
+
+def test_degrees_of_the_contradiction_and_the_tautology(capsys, tmp_path):
+    model = tmp_path / "degenerate.bel"
+    model.write_text("atoms A\nworlds auto\nprop F = A & ~A\nprop T = A | ~A\n"
+                     "rpm r = [A] [a]\n", encoding="utf-8")
+    code, out, _ = run(capsys, "degrees", "--model", str(model), "--state", "r")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["d(F) undefined (contradiction)",
+                                     "d(T) = 0, d(~T) undefined (tautology): T is believed"]
 
 
 def test_iterate(capsys, tmp_path):
@@ -333,11 +358,30 @@ def test_nine_worlds_are_over_the_default_bound(capsys, tmp_path):
         for i in range(9))
     model.write_text("atoms A B C D\n" + worlds + "rpm s = ["
                      + " ".join(f"w{i}" for i in range(9)) + "]\n", encoding="utf-8")
-    for argv in (("check", "--axioms", "agm"), ("represent",),
-                 ("degrees", "--state", "s")):
+    # the bound is checked before anything is printed: order alone would pass
+    for argv in (("check", "--axioms", "agm"), ("check", "--axioms", "order,agm", "--rule", "lex"),
+                 ("represent",), ("degrees", "--state", "s")):
         code, out, err = run(capsys, *argv, "--model", str(model))
-        assert code == 2
+        assert (code, out) == (2, ""), argv
         assert err == "error: universe has 9 worlds, over the bound of 8\n"
+
+
+def test_represent_over_the_bound_tabulates_nothing(capsys, monkeypatch):
+    def refuse(model):
+        raise AssertionError("revision_table called")
+
+    monkeypatch.setattr(rankrev.cli, "revision_table", refuse)
+    assert run(capsys, "represent", "--model", FIVE_ATOMS) == (
+        2, "", "error: universe has 32 worlds, over the bound of 8\n")
+
+
+def test_order_and_reversibility_are_not_bounded(capsys, tmp_path):
+    model = tmp_path / "sixteen.bel"
+    worlds = " ".join(rankrev.Universe.from_atoms("ABCD").worlds)
+    model.write_text(f"atoms A B C D\nworlds auto\nprop p = A & ~D\nprop q = B | C\n"
+                     f"rpm s = [{worlds}]\n", encoding="utf-8")
+    assert run(capsys, "check", "--model", str(model), "--rule", "lex", "--axioms", "order,r") == (
+        0, "order[s]: pass (144 cases)\nr[s]: pass (18 reversals tried)\nresult: pass\n", "")
 
 
 def test_missing_model_file(capsys):
@@ -380,6 +424,8 @@ def test_unknown_state(capsys):
     code, _, err = run(capsys, "revise", "--model", FIXTURE, "--state", "zz", "A")
     assert code == 2
     assert "no ranked state" in err
+    assert run(capsys, "degrees", "--model", FIXTURE, "--state", "nosuch") == (
+        2, "", "error: no state named 'nosuch' in model file\n")
 
 
 def test_bad_expression_is_input_error(capsys):

@@ -93,6 +93,29 @@ def test_declaration_order_enforced():
     assert "already" in str(_error_of("atoms A\nworlds auto\nworlds auto\n"))
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("atoms\n", "atoms declaration needs at least one name", 1),
+    ("atoms A A\n", "duplicate atom name", 1),
+    ("atoms A 1B\n", "bad atom name '1B'", 1),
+    ("atoms A\nworlds all\n", "expected 'worlds auto'", 2),
+    ("world w { A=true }\n", "world declarations need atoms declared first", 1),
+    ("atoms A\nworld w A=true\n", "expected 'world LABEL { atom=true ... }'", 2),
+    ("atoms A\nworld w { A }\n", "expected atom=true|false, got 'A'", 2),
+    ("atoms A\nworld w { A=true A=false }\n", "atom 'A' assigned twice", 2),
+    ("atoms A\nworld w { A=true }\nworld w { A=false }\n",
+     "world labels must be pairwise distinct", 3),
+    ("atoms A\nworld u { A=true }\nworld v { A=true }\nprop p = A\n",
+     "no two worlds may share an identical valuation", 4),
+    ("atoms A\nworlds auto\nprop p\n", "expected 'KIND NAME = ...'", 3),
+    ("atoms A\nworlds auto\nrpm 1r = [A a]\n", "bad name '1r'", 3),
+    ("atoms A\nworlds auto\nprop p = { A a\n", "expected '{ LABEL ... }'", 3),
+    ("atoms A\nworlds auto\nocf k = { A:0 a }\n", "expected LABEL:N, got 'a'", 3),
+])
+def test_diagnostic_message_and_line(text, message, line):
+    err = _error_of(text)
+    assert (err.message, err.line) == (message, line)
+
+
 def test_world_line_diagnostics():
     assert "missing value" in str(_error_of("atoms A B\nworld w { A=true }\n"))
     assert "bad truth value" in str(_error_of("atoms A\nworld w { A=yes }\nprop p = A\n"))

@@ -44,6 +44,37 @@ def test_apply_rule_universe_mismatch(r1):
         rr.apply_rule(rr.lexicographic_rule, r1, _input(other.prop("x"), Attitude.BELIEVE))
 
 
+# Every operation that takes a revision input, each checking it through one helper.
+REVISION_INPUT_CALLERS = {
+    "apply_rule": lambda model, ocf, prop: rr.apply_rule(
+        rr.lexicographic_rule, model, _input(prop, Attitude.BELIEVE)),
+    "spohn_conditionalize": lambda model, ocf, prop: rr.spohn_conditionalize(ocf, prop, 1),
+    "reverse_strength": lambda model, ocf, prop: rr.reverse_strength(ocf, prop),
+    "constrained_successors": lambda model, ocf, prop: rr.constrained_successors(
+        model, _input(prop, Attitude.DISBELIEVE)),
+    "check_order_preservation": lambda model, ocf, prop: rr.check_order_preservation(
+        rr.natural_rule, model, prop),
+}
+
+
+@pytest.mark.parametrize("call", REVISION_INPUT_CALLERS.values(), ids=REVISION_INPUT_CALLERS)
+def test_revision_input_contract(call, uni, r2, k1):
+    with pytest.raises(InputError, match="^operands are over different universes$"):
+        call(r2, k1, rr.Universe(("x", "y")).prop("x"))
+    for degenerate in (uni.contradiction(), uni.tautology()):
+        with pytest.raises(InputError,
+                           match="^revision rules reject the contradiction and the tautology$"):
+            call(r2, k1, degenerate)
+
+
+def test_apply_rule_rejects_output_over_another_universe(r2):
+    other = rr.Universe.from_atoms(("C", "D"))
+    rule = rr.RevisionRule("relabel", lambda model, _: rr.RankedModel.from_ranks(
+        other, model.ranks()))
+    with pytest.raises(InputError, match="^operands are over different universes$"):
+        rr.apply_rule(rule, r2, BELIEVE_A)
+
+
 def test_lexicographic_rule(uni, r1, r3, prop_a):
     assert rr.lexicographic_rule(r1, BELIEVE_A) == rr.RankedModel.from_labels(
         uni, ["AB", "Ab"], ["aB"], ["ab"])

@@ -258,6 +258,11 @@ def test_find_irreversibility_canonical_first_for_lex(uni):
     assert witness.epistemic_input == EpistemicInput(uni.prop("aB"), Attitude.BELIEVE)
 
 
+def test_find_irreversibility_finds_nothing_for_a_rule_that_changes_nothing(uni):
+    unchanged = rr.RevisionRule("unchanged", lambda model, _: model)
+    assert rr.find_irreversibility(unchanged, uni) is None
+
+
 def test_find_irreversibility_small_universe_rejected():
     with pytest.raises(InputError):
         rr.find_irreversibility(rr.lexicographic_rule, plain_universe(3))
@@ -333,6 +338,10 @@ def test_counterexample_checker_can_fail_and_witness_replays():
     # the data is printed, but none of the conclusions the failure contradicts
     assert "  believe A from r1:\n    [AB Ab] [aB] [ab]\n" in text
     assert "    -2 -> [aB] [AB Ab ab]  (= r1)\n" in text
+    # r2 and r3 are equal here, so a model equal to both carries both names
+    assert ("  disbelieve A from r3:\n    [aB] [AB Ab ab]  (= r1)\n"
+            "    [aB] [AB Ab] [ab]  (= r2, r3)\n") in text
+    assert "    -1 -> [aB] [AB Ab] [ab]  (= r2, r3)\n" in text
     for conclusion in ("forces both", "never both", "reaches neither", "can restore",
                        "restores at most one", "do not help", "cannot separate"):
         assert conclusion not in text
@@ -389,7 +398,7 @@ def test_representation_never_enumerates(monkeypatch):
     model = rr.RankedModel.from_ranks(plain_universe(7), (3, 0, 6, 1, 5, 2, 4))
     table = rr.revision_table(model)
     _forbid_enumeration(monkeypatch)
-    assert rr.representation_check(table, max_worlds=7) == model
+    assert rr.representation_check(table) == model
 
 
 def test_representation_partial_table_rejected(r2):
@@ -399,6 +408,11 @@ def test_representation_partial_table_rejected(r2):
         rr.representation_check(table)
     with pytest.raises(InputError):
         rr.representation_check({})
+    # total over the masks, but one key is over another four-world universe
+    mixed = rr.revision_table(r2)
+    mixed[plain_universe(4).prop_from_mask(5)] = mixed.pop(U4.prop_from_mask(5))
+    with pytest.raises(InputError, match="^table keys are over different universes$"):
+        rr.representation_check(mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ def test_universe_validation():
         rr.Universe(("x", "y"), ("A", "B"), ((True,), (False,)))
     with pytest.raises(InputError):
         rr.Universe.from_atoms(("AB",))
+    with pytest.raises(InputError, match="^auto worlds need at least one atom$"):
+        rr.Universe.from_atoms(())
 
 
 def test_complement(uni, prop_a):
