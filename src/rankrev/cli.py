@@ -28,7 +28,6 @@ from .verify import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_MAX_STRENGTH,
     CounterexampleReport,
-    _check_bound,
     _check_strength_bound,
     check_agm,
     check_degree_conditions,
@@ -41,7 +40,7 @@ from .verify import (
     representation_check,
     revision_table,
 )
-from .worlds import Proposition, Universe
+from .worlds import Proposition, Universe, check_world_bound
 
 _SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+([0-9]+))?\s*")
 
@@ -196,8 +195,9 @@ def _nondegenerate_props(model_file: ModelFile) -> list[tuple[str, Proposition]]
 
 def _cmd_check(args) -> int:
     _check_strength_bound(args.max_strength)
-    mf = load_model(args.model)
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    bounded = any(a in ("agm", "b9", "b10", "degrees") for a in axioms)
+    mf = load_model(args.model, args.max_worlds if bounded else None)
     known = ("agm", "b9", "b10", "order", "degrees", "r")
     if not axioms:
         raise InputError(f"no axioms given (expected one or more of {', '.join(known)})")
@@ -208,8 +208,6 @@ def _cmd_check(args) -> int:
     rule = rule_by_name(args.rule) if args.rule else None
     if needs_rule and rule is None:
         raise InputError(f"--rule is required for {', '.join(needs_rule)}")
-    if any(a in ("agm", "b9", "b10", "degrees") for a in axioms):
-        _check_bound(mf.universe, args.max_worlds)
     states = _ranked_states(mf, args.state)
     props = _nondegenerate_props(mf)
     failures = 0
@@ -334,6 +332,7 @@ def render_counterexample(report: CounterexampleReport) -> str:
 def _cmd_enumerate(args) -> int:
     if args.worlds < 1:
         raise InputError("need at least one world")
+    check_world_bound(args.worlds, DEFAULT_ENUMERATION_BOUND)
     universe = Universe(tuple(f"w{i + 1}" for i in range(args.worlds)))
     count = sum(1 for _ in enumerate_ranked_models(universe, DEFAULT_ENUMERATION_BOUND))
     print(count)
@@ -341,8 +340,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_represent(args) -> int:
-    mf = load_model(args.model)
-    _check_bound(mf.universe, args.max_worlds)
+    mf = load_model(args.model, args.max_worlds)
     states = _ranked_states(mf, args.state)
     failures = 0
     for name, state in states:
@@ -365,8 +363,7 @@ def _result(failures: int, noun: str) -> int:
 
 
 def _cmd_degrees(args) -> int:
-    mf = load_model(args.model)
-    _check_bound(mf.universe, args.max_worlds)
+    mf = load_model(args.model, args.max_worlds)
     if args.state in mf.rpms:
         state = mf.rpms[args.state]
         degree = state.disbelief_degree

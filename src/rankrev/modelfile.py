@@ -11,7 +11,9 @@ A model file is line-oriented UTF-8 with ``#`` comments::
 
 Declarations are ordered: atoms, then worlds, then named propositions,
 rankings, and OCFs.  Names are unique per kind.  Everything is validated at
-load; diagnostics carry the offending line.
+load; diagnostics carry the offending line.  A caller that will walk the
+universe exhaustively passes a world bound, checked before ``worlds auto``
+expands its 2^k rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 from .errors import InputError, ParseError
 from .expressions import parse_expression
 from .ranking import OCF, RankedModel
-from .worlds import Proposition, Universe, _Value
+from .worlds import Proposition, Universe, _Value, check_world_bound
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _WORLD_LINE = re.compile(r"world\s+(\S+)\s*\{([^}]*)\}\s*\Z")
@@ -53,16 +55,18 @@ def read_text(path: str, what: str) -> str:
                          f"({exc.reason} at offset {exc.start})") from None
 
 
-def load_model(path: str) -> ModelFile:
-    return parse_model(read_text(path, "model file"))
+def load_model(path: str, max_worlds: int | None = None) -> ModelFile:
+    return parse_model(read_text(path, "model file"), max_worlds)
 
 
-def parse_model(text: str) -> ModelFile:
-    return _ModelReader().read(text)
+def parse_model(text: str, max_worlds: int | None = None) -> ModelFile:
+    """The validated model file; a universe over ``max_worlds`` worlds is an input error."""
+    return _ModelReader(max_worlds).read(text)
 
 
 class _ModelReader:
-    def __init__(self):
+    def __init__(self, max_worlds: int | None):
+        self.max_worlds = max_worlds
         self.atoms: tuple[str, ...] | None = None
         self.auto = False
         self.world_rows: list[tuple[str, tuple[bool, ...]]] = []
@@ -156,6 +160,9 @@ class _ModelReader:
     def _finish_universe(self, line_no: int):
         if not self.auto and not self.world_rows:
             raise ParseError("no worlds declared", line_no)
+        if self.max_worlds is not None:
+            count = 2 ** len(self.atoms) if self.auto else len(self.world_rows)
+            check_world_bound(count, self.max_worlds)
         try:
             if self.auto:
                 self.universe = Universe.from_atoms(self.atoms)

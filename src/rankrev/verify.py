@@ -22,18 +22,25 @@ The checkers cover three layers:
 Belief-set containment is always checked through its reversal on contents:
 belief set of T1 is contained in that of T2 exactly when T2 ⊆ T1.
 
-The checkers that walk proposition pairs tabulate each per-proposition value
-once per checked model, through the public ``revise``, ``disbelief_degree``
-and ``first_consistent_block``, then run the pair loop over int masks.
-Tables have 2^n entries, never 4^n.  The degree checker's two tables come
-from the two independent routes (minimum world rank, first consistent
-block), so comparing them is still a check.
+The checkers that quantify over proposition pairs tabulate each
+per-proposition value once per checked model, through the public
+``revise``, ``disbelief_degree`` and ``first_consistent_block``.  Tables
+have 2^n entries, never 4^n.  The degree checker's two tables come from the
+two independent routes (minimum world rank, first consistent block), so
+comparing them is still a check.
+
+The pair phase is then set algebra.  A set of propositions is a 2^n-bit int,
+bit m standing for the proposition with mask m, so one big-int operation
+decides a property for every B at once.  For each A the phase builds the set
+of B at which the axiom fails; its lowest set bit is the first failing pair
+in (A, B) order, so verdicts, witnesses and case counts are those of the
+plain pair loop over 4^n cases.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .ranking import OCF, RankedModel, _from_masks, ocf_from_rpm, rpm_from_ocf
@@ -49,7 +56,7 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, Universe, _Value
+from .worlds import Proposition, Universe, _Value, check_world_bound
 
 DEFAULT_CHECK_BOUND = 8
 # The searches walk every ranked model (Fubini(n)) or every bounded OCF ((m+1)^n).
@@ -88,13 +95,6 @@ class AxiomReport(_Value):
         self._fill(axiom, passed, cases, witness, reversal)
 
 
-def _check_bound(universe: Universe, max_worlds: int):
-    if len(universe.worlds) > max_worlds:
-        raise InputError(
-            f"universe has {len(universe.worlds)} worlds, over the bound of {max_worlds}"
-        )
-
-
 def _check_strength_bound(max_strength: int):
     if max_strength < 0:
         raise InputError("max strength must be at least 0")
@@ -108,12 +108,12 @@ def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> Axio
     belief set is deductively closed), so it reduces to a structural check.
 
     ``revise`` is called once per proposition (twice, for B6) to build the
-    table ``t[m]`` of revised content masks; the pair loop then reads
-    ``t[a & b]`` and compares masks, building propositions only for a
-    witness.
+    table ``t[m]`` of revised content masks.  Once B1-B6 pass, B7/B8 is set
+    algebra over that table (``_agm_pairs``), and propositions are built
+    only for a witness.
     """
     u = model.universe
-    _check_bound(u, max_worlds)
+    check_world_bound(len(u.worlds), max_worlds)
     prior = model.blocks[0].mask
     size = 1 << len(u.worlds)
     t = []
@@ -143,18 +143,11 @@ def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> Axio
         # B6: set-propositions make logical equivalence plain identity.
         if revise(model, prop) != content:
             return _agm_fail("B6", model, a, None, cases)
-    for a in range(size):
-        t_a = t[a]
-        for b in range(size):
-            cases += 1
-            t_ab = t[a & b]
-            expanded = t_a & b
-            # B7: revising by the conjunction is contained in expanding the revision.
-            if expanded & ~t_ab:
-                return _agm_fail("B7", model, a, b, cases)
-            # B8: guarded converse, when b is compatible with the revised state.
-            if expanded and t_ab & ~expanded:
-                return _agm_fail("B8", model, a, b, cases)
+    pair_cases, failure = _agm_pairs(t)
+    cases += pair_cases
+    if failure is not None:
+        axiom, a, b = failure
+        return _agm_fail(axiom, model, a, b, cases)
     return AxiomReport("agm", True, cases)
 
 
@@ -166,6 +159,65 @@ def _agm_fail(axiom: str, model: RankedModel, a_mask: int, b_mask: int | None,
     detail = f"{axiom} violated at A={a}" + (f", B={b}" if b is not None else "")
     return AxiomReport("agm", False, cases,
                        Witness(detail, model=model, proposition=a, second=b))
+
+
+def _columns(table: Sequence[int], n: int) -> list[int]:
+    """For each world w, the set of masks m whose entry ``table[m]`` holds w;
+    over ``range(2^n)``, the set of masks holding w."""
+    columns = [0] * n
+    for m, entry in enumerate(table):
+        bit = 1 << m
+        while entry:
+            low = entry & -entry
+            columns[low.bit_length() - 1] |= bit
+            entry ^= low
+    return columns
+
+
+def _submask_sets(n: int) -> list[int]:
+    """For each mask m, the set of its submasks: those of m without its lowest
+    world, each taken with and without that world."""
+    sub = [1]
+    for m in range(1, 1 << n):
+        low = m & -m
+        rest = sub[m ^ low]
+        sub.append(rest | rest << low)
+    return sub
+
+
+def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
+    """B7/B8 over every ordered pair of masks, given t[a] ⊆ a for every a.
+
+    Returns the pair phase's case count and its first failure (axiom, a, b),
+    or None.  B7 says t[a ∩ b] ⊇ t[a] ∩ b; B8 says t[a ∩ b] ⊆ t[a] ∩ b when
+    t[a] meets b.  As t[a] ⊆ a, t[a] ∩ b = t[a] ∩ c with c = a ∩ b, so (a, b)
+    fails exactly when (a, c) does, and the first such b is c itself.  So
+    for each a the failing b are the submasks c of a where:
+
+    * B7: some world of t[a] lies in c but not in t[c];
+    * B8: t[a] meets c, and some world of t[c] lies outside t[a].
+    """
+    size = len(t)
+    n = size.bit_length() - 1
+    full = size - 1
+    revised = _columns(t, n)  # per world w: {c : w ∈ t[c]}
+    # per world w: {c : w ∈ c, w ∉ t[c]}
+    dropped = [has & ~r for has, r in zip(_columns(range(size), n), revised)]
+    sub = _submask_sets(n)
+    for a, t_a in enumerate(t):
+        b7 = b8 = 0
+        for w in range(n):
+            if t_a >> w & 1:
+                b7 |= dropped[w]
+            else:
+                b8 |= revised[w]
+        b7 &= sub[a]
+        b8 &= sub[a] & ~sub[full ^ t_a]
+        failing = b7 | b8
+        if failing:
+            b = (failing & -failing).bit_length() - 1
+            return a * size + b + 1, ("B7" if b7 >> b & 1 else "B8", a, b)
+    return size * size, None
 
 
 def _nonempty_submasks(mask: int) -> Iterator[int]:
@@ -191,7 +243,7 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     if axiom not in ("B9", "B10"):
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
     u = model.universe
-    _check_bound(u, max_worlds)
+    check_world_bound(len(u.worlds), max_worlds)
     full = u.tautology().mask
     expected = [revise(model, u.prop_from_mask(m)).mask for m in range(full + 1)]
     cases = 0
@@ -262,11 +314,11 @@ def check_degree_conditions(model: RankedModel,
     ``disbelief_degree`` (the minimum over world ranks), blocks from
     ``first_consistent_block`` (the block scan), whose index for a
     singleton is its world's rank.  The two sides of (ii) come from two
-    tables built once per proposition; the pair loop compares them over int
-    masks.
+    tables built once per proposition; set algebra over them
+    (``_degree_pairs``) compares the sides for every pair.
     """
     u = model.universe
-    _check_bound(u, max_worlds)
+    check_world_bound(len(u.worlds), max_worlds)
     cases = 0
     for w in u.worlds:
         cases += 1
@@ -279,21 +331,64 @@ def check_degree_conditions(model: RankedModel,
     props = [u.prop_from_mask(m) for m in range(full + 1)]
     degree = [None] + [model.disbelief_degree(p) for p in props[1:]]
     blocks = [block.mask for block in model.blocks]
-    first_block = [None] + [blocks[model.first_consistent_block(p)] for p in props[1:]]
-    for a_mask in range(1, full + 1):
-        d_a = degree[a_mask]
-        for b_mask in range(1, full + 1):
-            cases += 1
-            strictly_less = d_a < degree[b_mask]
-            misses_b = (first_block[a_mask | b_mask] & b_mask) == 0
-            if strictly_less != misses_b:
-                detail = (f"degree condition (ii) violated at A={props[a_mask]}, "
-                          f"B={props[b_mask]}: d(A)<d(B) is {strictly_less} but first block "
-                          f"of A∪B {'misses' if misses_b else 'meets'} B")
-                return AxiomReport("degrees", False, cases,
-                                   Witness(detail, model=model, proposition=props[a_mask],
-                                           second=props[b_mask]))
+    first_block = [0] + [blocks[model.first_consistent_block(p)] for p in props[1:]]
+    pair_cases, failure = _degree_pairs(degree, first_block)
+    cases += pair_cases
+    if failure is not None:
+        a_mask, b_mask = failure
+        strictly_less = degree[a_mask] < degree[b_mask]
+        misses_b = (first_block[a_mask | b_mask] & b_mask) == 0
+        detail = (f"degree condition (ii) violated at A={props[a_mask]}, "
+                  f"B={props[b_mask]}: d(A)<d(B) is {strictly_less} but first block "
+                  f"of A∪B {'misses' if misses_b else 'meets'} B")
+        return AxiomReport("degrees", False, cases,
+                           Witness(detail, model=model, proposition=props[a_mask],
+                                   second=props[b_mask]))
     return AxiomReport("degrees", True, cases)
+
+
+def _degree_pairs(degree: list, first_block: list[int]) -> tuple[int, tuple[int, int] | None]:
+    """Degree condition (ii) over every ordered pair of non-empty masks.
+
+    ``degree[m]`` and ``first_block[m]`` are the two routes' values for mask
+    m, ``first_block[0]`` is 0 and ``degree[0]`` is unused.  Returns the pair
+    phase's case count and its first failure (a, b), or None.  For each a,
+    "d(a) < d(b)" holds on the set of b above level d(a), and "the first
+    block of a ∪ b meets b" on the union over worlds w of
+    {b ∋ w : w ∈ first_block[a ∪ b]}; (ii) fails where both hold or neither.
+    """
+    size = len(degree)
+    n = size.bit_length() - 1
+    full = size - 1
+    nonempty = (1 << size) - 2
+    at_level = {}
+    for b in range(1, size):
+        at_level[degree[b]] = at_level.get(degree[b], 0) | 1 << b
+    above, higher = {}, 0
+    for level in sorted(at_level, reverse=True):
+        above[level] = higher
+        higher |= at_level[level]
+    has = _columns(range(size), n)
+    # pre[a][w] = {b : w ∈ first_block[a ∪ b]}.  It is built from pre[a'], a'
+    # being a without its lowest world l: b ∪ a = (b ∪ {l}) ∪ a', so b is in
+    # it when b holds l and is in pre[a'][w], or b ∪ {l} is.
+    pre = [_columns(first_block, n)]
+    for a in range(1, size):
+        low = a & -a
+        holds_low = has[low.bit_length() - 1]
+        row = []
+        meets = 0
+        for w, s in enumerate(pre[a ^ low]):
+            s &= holds_low
+            s |= s >> low
+            row.append(s)
+            meets |= has[w] & s
+        pre.append(row)
+        failing = ~(above[degree[a]] ^ meets) & nonempty
+        if failing:
+            b = (failing & -failing).bit_length() - 1
+            return (a - 1) * full + b, (a, b)
+    return full * full, None
 
 
 def enumerate_ranked_models(universe: Universe,
@@ -304,7 +399,7 @@ def enumerate_ranked_models(universe: Universe,
     world-to-block assignment vector in world index order.  The count is the
     ordered Bell number of the universe's size.
     """
-    _check_bound(universe, max_worlds)
+    check_world_bound(len(universe.worlds), max_worlds)
     n = len(universe.worlds)
     for k in range(1, n + 1):
         for assignment in product(range(k), repeat=n):
@@ -319,7 +414,7 @@ def enumerate_ranked_models(universe: Universe,
 def enumerate_ocfs(universe: Universe, max_value: int,
                    max_worlds: int = DEFAULT_SEARCH_BOUND) -> Iterator[OCF]:
     """Every normalized OCF with values in 0..max_value, in lexicographic value order."""
-    _check_bound(universe, max_worlds)
+    check_world_bound(len(universe.worlds), max_worlds)
     n = len(universe.worlds)
     for values in product(range(max_value + 1), repeat=n):
         if min(values) == 0:

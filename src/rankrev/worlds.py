@@ -156,6 +156,12 @@ class Universe(_Value):
             yield Proposition(self, mask)
 
 
+def check_world_bound(worlds: int, max_worlds: int):
+    """Refuse a universe of ``worlds`` worlds over the bound, before anything is built."""
+    if worlds > max_worlds:
+        raise InputError(f"universe has {worlds} worlds, over the bound of {max_worlds}")
+
+
 def _require_same_universe(a, b):
     if a.universe != b.universe:
         raise InputError("operands are over different universes")

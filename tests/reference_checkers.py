@@ -16,6 +16,11 @@ search versions of the library's two read-offs: the first compares every
 same-side pair of world labels through ``rank_of``, the second tries every
 signed strength in the bound.  The library must return equal reports.
 
+``agm_pairs`` and ``degree_pairs`` are the plain pair loops over int-mask
+tables that the library's pair phases replace with set algebra: one step per
+ordered pair of masks.  The library's phases must return the same case count
+and first failing pair for every table.
+
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
 
@@ -152,6 +157,40 @@ def check_degree_conditions(model: RankedModel, max_worlds: int) -> AxiomReport:
                 return AxiomReport("degrees", False, cases,
                                    Witness(detail, model=model, proposition=a, second=b))
     return AxiomReport("degrees", True, cases)
+
+
+def agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
+    """B7/B8 over every ordered pair of masks of the revision table ``t``."""
+    size = len(t)
+    cases = 0
+    for a in range(size):
+        t_a = t[a]
+        for b in range(size):
+            cases += 1
+            t_ab = t[a & b]
+            expanded = t_a & b
+            # B7: revising by the conjunction is contained in expanding the revision.
+            if expanded & ~t_ab:
+                return cases, ("B7", a, b)
+            # B8: guarded converse, when b is compatible with the revised state.
+            if expanded and t_ab & ~expanded:
+                return cases, ("B8", a, b)
+    return cases, None
+
+
+def degree_pairs(degree: list, first_block: list[int]) -> tuple[int, tuple[int, int] | None]:
+    """Degree condition (ii) over every ordered pair of non-empty masks."""
+    full = len(degree) - 1
+    cases = 0
+    for a in range(1, full + 1):
+        d_a = degree[a]
+        for b in range(1, full + 1):
+            cases += 1
+            strictly_less = d_a < degree[b]
+            misses_b = (first_block[a | b] & b) == 0
+            if strictly_less != misses_b:
+                return cases, (a, b)
+    return cases, None
 
 
 def _preference(model: RankedModel, w1: str, w2: str) -> str:

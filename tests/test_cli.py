@@ -358,9 +358,10 @@ def test_nine_worlds_are_over_the_default_bound(capsys, tmp_path):
         for i in range(9))
     model.write_text("atoms A B C D\n" + worlds + "rpm s = ["
                      + " ".join(f"w{i}" for i in range(9)) + "]\n", encoding="utf-8")
-    # the bound is checked before anything is printed: order alone would pass
+    # the bound is checked before anything is printed: order alone would pass.  It is
+    # checked while the file loads, so it also comes before a missing --rule.
     for argv in (("check", "--axioms", "agm"), ("check", "--axioms", "order,agm", "--rule", "lex"),
-                 ("represent",), ("degrees", "--state", "s")):
+                 ("check", "--axioms", "agm,b9"), ("represent",), ("degrees", "--state", "s")):
         code, out, err = run(capsys, *argv, "--model", str(model))
         assert (code, out) == (2, ""), argv
         assert err == "error: universe has 9 worlds, over the bound of 8\n"
@@ -373,6 +374,30 @@ def test_represent_over_the_bound_tabulates_nothing(capsys, monkeypatch):
     monkeypatch.setattr(rankrev.cli, "revision_table", refuse)
     assert run(capsys, "represent", "--model", FIVE_ATOMS) == (
         2, "", "error: universe has 32 worlds, over the bound of 8\n")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built a universe over the bound")
+
+
+def test_enumerate_over_the_bound_builds_no_universe(capsys, monkeypatch):
+    monkeypatch.setattr(rankrev.cli, "Universe", _refuse)
+    assert run(capsys, "enumerate", "--worlds", "300000") == (
+        2, "", "error: universe has 300000 worlds, over the bound of 6\n")
+
+
+@pytest.mark.parametrize("argv", [("check", "--axioms", "agm"), ("check", "--axioms", "b9"),
+                                  ("check", "--axioms", "b10"),
+                                  ("check", "--axioms", "order,degrees", "--rule", "lex"),
+                                  ("represent",), ("degrees", "--state", "s")])
+def test_auto_worlds_over_the_bound_are_never_expanded(capsys, monkeypatch, tmp_path, argv):
+    model = tmp_path / "sixteen-atoms.bel"
+    atoms = "ABCDEFGHIJKLMNOP"
+    model.write_text(f"atoms {' '.join(atoms)}\nworlds auto\nrpm s = [{atoms}]\n",
+                     encoding="utf-8")
+    monkeypatch.setattr(rankrev.Universe, "from_atoms", _refuse)
+    assert run(capsys, *argv, "--model", str(model)) == (
+        2, "", "error: universe has 65536 worlds, over the bound of 8\n")
 
 
 def test_order_and_reversibility_are_not_bounded(capsys, tmp_path):

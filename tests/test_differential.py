@@ -12,9 +12,14 @@ the references' object-level bodies, posterior for posterior.
 
 Order preservation and OCF reversal, which the library reads off rank
 vectors and ``reverse_strength``, are compared with the references' searches.
+
+The set-algebra pair phases of ``check_agm`` and ``check_degree_conditions``
+are compared with the references' plain pair loops on the same int-mask
+tables, which are drawn from random models with a few entries replaced.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from conftest import (
     ALL_MODELS_4,
     ALL_MODELS_5,
     U4,
+    collapse,
     last_consistent_block,
     max_rank_degree,
     models_with_input,
@@ -200,6 +206,61 @@ def test_broken_revision_fails_agm_like_reference(monkeypatch, broken):
         if not report.passed:
             axioms.add(report.witness.description.split()[0])
     assert axioms == BROKEN_REVISIONS[broken]
+
+
+# ---------------------------------------------------------------------------
+# set-algebra pair phases against the plain pair loops over the same tables
+
+
+def _pair_tables(rng, n):
+    """A random model's revision, degree and first-block tables over n worlds,
+    with a few entries replaced: a revision entry by a random submask of its
+    mask (so t[a] ⊆ a still holds), a degree by a random level, and a first
+    block by a random non-empty mask."""
+    ranks = collapse([rng.randrange(n) for _ in range(n)])
+    model = rr.RankedModel.from_ranks(plain_universe(n), ranks)
+    props = list(model.universe.propositions())
+    t = [rr.revise(model, p).mask for p in props]
+    degree = [None] + [model.disbelief_degree(p) for p in props[1:]]
+    first_block = [0] + [model.blocks[model.first_consistent_block(p)].mask for p in props[1:]]
+    size = 1 << n
+    for _ in range(rng.randrange(4)):
+        a = rng.randrange(size)
+        t[a] = rng.randrange(size) & a
+    for _ in range(rng.randrange(3)):
+        degree[rng.randrange(1, size)] = rng.randrange(n + 1)
+    for _ in range(rng.randrange(3)):
+        first_block[rng.randrange(1, size)] = rng.randrange(1, size)
+    return t, degree, first_block
+
+
+def _same_pair_phases(t, degree, first_block):
+    agm = verify._agm_pairs(t)
+    assert agm == reference.agm_pairs(t)
+    degrees = verify._degree_pairs(degree, first_block)
+    assert degrees == reference.degree_pairs(degree, first_block)
+    return agm[1], degrees[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 8), st.randoms(use_true_random=False))
+def test_pair_phases_match_pair_loops_up_to_eight_worlds(n, rng):
+    _same_pair_phases(*_pair_tables(rng, n))
+
+
+def test_pair_phase_draws_fail_every_way():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(200):
+        t, degree, first_block = _pair_tables(rng, rng.randint(3, 6))
+        agm, degrees = _same_pair_phases(t, degree, first_block)
+        if agm is not None:
+            seen.add(agm[0])
+        if degrees is not None:
+            a, b = degrees
+            seen.add("(ii): d(A)<d(B), meets B" if degree[a] < degree[b]
+                     else "(ii): d(A)>=d(B), misses B")
+    assert seen == {"B7", "B8", "(ii): d(A)<d(B), meets B", "(ii): d(A)>=d(B), misses B"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Exhaustive checkers: axioms, successor sets, enumeration, irreversibility."""
 
 import math
+import random
+import time
 
 import pytest
 
@@ -94,6 +96,21 @@ def test_check_degree_conditions(r1, r3):
     flat = rr.RankedModel((u.tautology(),))
     report = rr.check_degree_conditions(flat)
     assert report.passed  # all degrees 0: no strict pair, and the biconditional holds
+
+
+def test_pair_checkers_at_eleven_worlds_within_a_second():
+    # A seeded 4-block model over 11 worlds: 4^11 pairs each, through set algebra.
+    n = 11
+    ranks = [i % 4 for i in range(n)]
+    random.Random(11).shuffle(ranks)
+    model = rr.RankedModel.from_ranks(plain_universe(n), tuple(ranks))
+    start = time.perf_counter()
+    agm = rr.check_agm(model, max_worlds=n)
+    degrees = rr.check_degree_conditions(model, max_worlds=n)
+    elapsed = time.perf_counter() - start
+    assert (agm.passed, agm.cases) == (True, 2 ** n + 4 ** n)
+    assert (degrees.passed, degrees.cases) == (True, n + (2 ** n - 1) ** 2)
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 # ---------------------------------------------------------------------------
