@@ -12,8 +12,9 @@ A model file is line-oriented UTF-8 with ``#`` comments::
 Declarations are ordered: atoms, then worlds, then named propositions,
 rankings, and OCFs.  Names are unique per kind.  Everything is validated at
 load; diagnostics carry the offending line.  A caller that will walk the
-universe exhaustively passes a world bound, checked before ``worlds auto``
-expands its 2^k rows.
+universe exhaustively passes a world bound; every other caller gets
+``MAX_MODEL_WORLDS``.  The bound is checked before ``worlds auto`` expands its
+2^k rows.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _WORLD_LINE = re.compile(r"world\s+(\S+)\s*\{([^}]*)\}\s*\Z")
 _SET_BODY = re.compile(r"\{([^}]*)\}\s*\Z")
 _BLOCK = re.compile(r"\[([^\]]*)\]")
+
+# A ranked state lists every world, so a larger file is of no use, while
+# expanding ``worlds auto`` costs time and memory doubling with each atom.
+MAX_MODEL_WORLDS = 4096
 
 
 class ModelFile(_Value):
@@ -60,13 +65,19 @@ def load_model(path: str, max_worlds: int | None = None) -> ModelFile:
 
 
 def parse_model(text: str, max_worlds: int | None = None) -> ModelFile:
-    """The validated model file; a universe over ``max_worlds`` worlds is an input error."""
+    """The validated model file.
+
+    A universe over ``max_worlds`` worlds, or over ``MAX_MODEL_WORLDS`` in any
+    case, is an input error.
+    """
     return _ModelReader(max_worlds).read(text)
 
 
 class _ModelReader:
     def __init__(self, max_worlds: int | None):
-        self.max_worlds = max_worlds
+        self.max_worlds = MAX_MODEL_WORLDS
+        if max_worlds is not None:
+            self.max_worlds = min(max_worlds, MAX_MODEL_WORLDS)
         self.atoms: tuple[str, ...] | None = None
         self.auto = False
         self.world_rows: list[tuple[str, tuple[bool, ...]]] = []
@@ -160,9 +171,8 @@ class _ModelReader:
     def _finish_universe(self, line_no: int):
         if not self.auto and not self.world_rows:
             raise ParseError("no worlds declared", line_no)
-        if self.max_worlds is not None:
-            count = 2 ** len(self.atoms) if self.auto else len(self.world_rows)
-            check_world_bound(count, self.max_worlds)
+        count = 2 ** len(self.atoms) if self.auto else len(self.world_rows)
+        check_world_bound(count, self.max_worlds)
         try:
             if self.auto:
                 self.universe = Universe.from_atoms(self.atoms)

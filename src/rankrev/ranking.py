@@ -33,14 +33,15 @@ class RankedModel(_Value):
         u = blocks[0].universe
         union = 0
         for block in blocks:
-            if block.universe != u:
+            m = block.mask
+            if block.universe is not u and block.universe != u:
                 raise InputError("blocks are over different universes")
-            if block.is_empty:
+            if not m:
                 raise InputError("ranked model blocks must be non-empty")
-            if union & block.mask:
+            if union & m:
                 raise InputError("ranked model blocks must be disjoint")
-            union |= block.mask
-        if union != u.tautology().mask:
+            union |= m
+        if union != (1 << len(u.worlds)) - 1:
             raise InputError("ranked model blocks must cover the universe")
         _set(self, "blocks", blocks)
 

@@ -398,17 +398,38 @@ def enumerate_ranked_models(universe: Universe,
     Canonical order: ascending number of blocks, then lexicographic on the
     world-to-block assignment vector in world index order.  The count is the
     ordered Bell number of the universe's size.
+
+    Only surjective assignments are visited: a depth-first walk places the
+    worlds in index order, tries blocks in ascending order, and skips a
+    block whenever the blocks still empty would outnumber the worlds left.
+    The walk is lazy; each block proposition is built once, on first use.
     """
     check_world_bound(len(universe.worlds), max_worlds)
     n = len(universe.worlds)
-    for k in range(1, n + 1):
-        for assignment in product(range(k), repeat=n):
-            if len(set(assignment)) != k:
+    props: dict[int, Proposition] = {}
+
+    def block(mask: int) -> Proposition:
+        prop = props.get(mask)
+        if prop is None:
+            prop = props[mask] = Proposition(universe, mask)
+        return prop
+
+    def place(i: int, masks: list[int], empty: int) -> Iterator[RankedModel]:
+        # World i goes to some block; ``empty`` blocks are still empty before it.
+        if i == n:
+            yield RankedModel(tuple(map(block, masks)))
+            return
+        bit, later = 1 << i, n - i - 1
+        for b in range(len(masks)):
+            left_empty = empty - (not masks[b])
+            if left_empty > later:
                 continue
-            masks = [0] * k
-            for i, r in enumerate(assignment):
-                masks[r] |= 1 << i
-            yield _from_masks(universe, masks)
+            masks[b] |= bit
+            yield from place(i + 1, masks, left_empty)
+            masks[b] ^= bit
+
+    for k in range(1, n + 1):
+        yield from place(0, [0] * k, k)
 
 
 def enumerate_ocfs(universe: Universe, max_value: int,

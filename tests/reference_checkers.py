@@ -6,10 +6,15 @@ and ``check_iteration_axiom``: every case builds its propositions and calls
 no per-model tables.  The library's checkers must return equal reports:
 verdict, case count and witness, so also the first failing case.
 
+``enumerate_ranked_models`` is the generate-and-filter enumerator: it walks
+all k^n world-to-block assignment vectors for each k and drops those that
+leave a block empty.  The library's walk over surjective assignments must
+yield the same models in the same order.
+
 ``constrained_successors`` and ``representation_check`` are the brute-force
 versions of the library's constructions: they filter or scan every ranked
-model in canonical order.  The library must return equal results, order
-included.
+model in canonical order, from this module's enumerator.  The library must
+return equal results, order included.
 
 ``check_order_preservation`` and ``check_ocf_reversibility`` are the
 search versions of the library's two read-offs: the first compares every
@@ -30,6 +35,7 @@ round-trips through an ``OCF``, and ranks scan every world index of each
 block.  The library's rules must return equal posteriors.
 """
 
+from itertools import product
 from typing import Iterator, Mapping
 
 from rankrev import (
@@ -43,7 +49,6 @@ from rankrev import (
     RevisionRule,
     Witness,
     apply_rule,
-    enumerate_ranked_models,
     ocf_from_rpm,
     required_content,
     revise,
@@ -237,6 +242,20 @@ def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
               f"on {prop} with strength {alpha}")
     return AxiomReport("R", False, cases,
                        Witness(detail, ocf=ocf, proposition=prop, strength=alpha))
+
+
+def enumerate_ranked_models(universe, max_worlds: int = DEFAULT_ENUMERATION_BOUND
+                            ) -> Iterator[RankedModel]:
+    _check_bound(universe, max_worlds)
+    n = len(universe.worlds)
+    for k in range(1, n + 1):
+        for assignment in product(range(k), repeat=n):
+            if len(set(assignment)) != k:
+                continue
+            masks = [0] * k
+            for i, r in enumerate(assignment):
+                masks[r] |= 1 << i
+            yield RankedModel(tuple(universe.prop_from_mask(m) for m in masks))
 
 
 def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,

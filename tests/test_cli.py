@@ -400,6 +400,21 @@ def test_auto_worlds_over_the_bound_are_never_expanded(capsys, monkeypatch, tmp_
         2, "", "error: universe has 65536 worlds, over the bound of 8\n")
 
 
+@pytest.mark.parametrize("argv", [("revise", "--state", "s", "A"),
+                                  ("iterate", "--state", "s", "--rule", "lex", "script.txt"),
+                                  ("check", "--axioms", "order,r", "--rule", "lex")])
+def test_auto_worlds_over_the_ceiling_are_never_expanded(capsys, monkeypatch, tmp_path, argv):
+    model = tmp_path / "thirteen-atoms.bel"
+    atoms = "ABCDEFGHIJKLM"
+    model.write_text(f"atoms {' '.join(atoms)}\nworlds auto\nrpm s = [{atoms}]\n",
+                     encoding="utf-8")
+    (tmp_path / "script.txt").write_text("believe A\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(rankrev.Universe, "from_atoms", _refuse)
+    assert run(capsys, *argv, "--model", str(model)) == (
+        2, "", "error: universe has 8192 worlds, over the bound of 4096\n")
+
+
 def test_order_and_reversibility_are_not_bounded(capsys, tmp_path):
     model = tmp_path / "sixteen.bel"
     worlds = " ".join(rankrev.Universe.from_atoms("ABCD").worlds)

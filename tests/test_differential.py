@@ -4,6 +4,8 @@ Equal reports mean equal verdicts, case counts and witnesses, so the first
 failing case is compared too.  Broken operations come from ``conftest`` or
 are patched in here; the references see every patch the checkers see.
 
+The enumerator, which walks only surjective block assignments, is compared
+with the references' product-and-filter generator, model for model in order.
 Successor sets and representations, which the library builds directly, are
 compared with the references' filter and scan over every ranked model.
 
@@ -265,6 +267,12 @@ def test_pair_phase_draws_fail_every_way():
 
 # ---------------------------------------------------------------------------
 # constructions against the filter and scan over every ranked model
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_matches_product_filter_up_to_six_worlds(n):
+    u = plain_universe(n)
+    assert list(rr.enumerate_ranked_models(u)) == list(reference.enumerate_ranked_models(u))
 
 
 def test_successors_match_filter_on_all_four_world_inputs():

@@ -193,6 +193,12 @@ def test_universe_from_lists_is_a_tuple_universe():
     assert hash(valued.prop(X)) == hash(rr.Universe((X, Y), ("A",), ((True,), (False,))).prop(X))
 
 
+def test_ranked_model_blocks_over_equal_universes_are_accepted():
+    twin = rr.Universe((X, Y))
+    assert twin is not U2
+    assert rr.RankedModel((P_X, twin.prop(Y))) == model_xy()
+
+
 def test_ranked_model_from_a_list_is_hashable():
     listed = rr.RankedModel([P_X, P_Y])
     assert listed == model_xy() and hash(listed) == hash(model_xy())

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,23 @@ def test_enumeration_bound():
     with pytest.raises(InputError):
         next(rr.enumerate_ranked_models(plain_universe(7)))
     assert sum(1 for _ in rr.enumerate_ranked_models(plain_universe(6))) == ordered_bell(6)
+
+
+def test_enumeration_is_lazy():
+    u = plain_universe(20)
+    assert next(rr.enumerate_ranked_models(u, max_worlds=20)) == rr.RankedModel((u.tautology(),))
+    u = plain_universe(7)
+    assert sum(1 for _ in rr.enumerate_ranked_models(u, max_worlds=7)) == ordered_bell(7) == 47293
+    # The first walk also fills the interpreter's free lists (about 0.8 MB of
+    # tuples), which would otherwise count toward the peak of the second.
+    tracemalloc.start()
+    try:
+        for _ in rr.enumerate_ranked_models(u, max_worlds=7):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_enumerate_ocfs():
