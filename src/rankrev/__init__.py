@@ -40,7 +40,6 @@ from .verify import (
     constrained_successors,
     counterexample_fixture,
     counterexample_verify,
-    enumerate_ocfs,
     enumerate_ranked_models,
     find_irreversibility,
     find_ocf_irreversibility,
@@ -76,7 +75,6 @@ __all__ = [
     "constrained_successors",
     "counterexample_fixture",
     "counterexample_verify",
-    "enumerate_ocfs",
     "enumerate_ranked_models",
     "find_irreversibility",
     "find_ocf_irreversibility",

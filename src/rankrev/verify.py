@@ -1,10 +1,11 @@
 """Exhaustive checkers for the revision axioms and the irreversibility argument.
 
 Everything here is desk-scale and exact: universes are small enough to
-enumerate every proposition, every ordered partition, and every bounded OCF,
-so each checker quantifies over its whole case space and either passes or
-returns a replayable witness.  Successor sets and the model behind a
-revision table are built directly, not found by scanning ordered partitions.
+enumerate every proposition and every ordered partition, so each checker
+quantifies over its whole case space and either passes or returns a
+replayable witness.  Successor sets, the model behind a revision table and
+the first irreversible OCF step are built directly, not found by scanning
+ordered partitions or bounded OCFs.
 
 The checkers cover three layers:
 
@@ -15,7 +16,8 @@ The checkers cover three layers:
   ``constrained_successors``);
 * reversibility: whether a rule's effect can be undone using only the
   proposition that caused it (``check_reversibility``,
-  ``find_irreversibility``), and the four-block counterexample showing no
+  ``find_irreversibility``, ``check_ocf_reversibility``,
+  ``find_ocf_irreversibility``), and the four-block counterexample showing no
   rule satisfying the iteration axioms can always be reversed
   (``counterexample_verify``).
 
@@ -39,7 +41,6 @@ plain pair loop over 4^n cases.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -59,7 +60,7 @@ from .revision import (
 from .worlds import Proposition, Universe, _Value, check_world_bound
 
 DEFAULT_CHECK_BOUND = 8
-# The searches walk every ranked model (Fubini(n)) or every bounded OCF ((m+1)^n).
+# find_irreversibility walks every ranked model (Fubini(n) of them).
 DEFAULT_SEARCH_BOUND = 5
 DEFAULT_ENUMERATION_BOUND = 6
 DEFAULT_MAX_STRENGTH = 3
@@ -432,16 +433,6 @@ def enumerate_ranked_models(universe: Universe,
         yield from place(0, [0] * k, k)
 
 
-def enumerate_ocfs(universe: Universe, max_value: int,
-                   max_worlds: int = DEFAULT_SEARCH_BOUND) -> Iterator[OCF]:
-    """Every normalized OCF with values in 0..max_value, in lexicographic value order."""
-    check_world_bound(len(universe.worlds), max_worlds)
-    n = len(universe.worlds)
-    for values in product(range(max_value + 1), repeat=n):
-        if min(values) == 0:
-            yield OCF(universe, values)
-
-
 def constrained_successors(model: RankedModel,
                            epistemic_input: EpistemicInput) -> tuple[RankedModel, ...]:
     """All posterior rankings the iteration axioms leave open for one input.
@@ -548,29 +539,27 @@ def find_irreversibility(rule: RevisionRule, universe: Universe,
 
 
 def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_STRENGTH,
-                             max_strength: int = DEFAULT_MAX_STRENGTH,
-                             max_worlds: int = DEFAULT_SEARCH_BOUND) -> Witness | None:
-    """Search bounded OCF space for an irreversible conditionalization step.
+                             max_strength: int = DEFAULT_MAX_STRENGTH) -> Witness | None:
+    """First irreversible conditionalization step over OCFs with values up to max_value.
 
-    Returns None whenever the strength bound covers the value bound: at the
-    numeric level every step is undone by the difference of the two sides'
-    prior degrees.
-
-    Conditionalizing twice on the same proposition forgets the first
-    strength (Spohn 1988), so whether a step on (OCF, A) can be undone does
-    not depend on its strength.  One strength, -max_strength, is tried per
-    (OCF, A); it is the first of the whole range, so the witness is the
-    first in (OCF, A, strength) order.
+    Order: normalized OCFs in lexicographic value order, then A by ascending
+    mask, then strengths from -max_strength.  The witness is built, not
+    searched for.  Only ``reverse_strength`` can restore κ after
+    conditionalizing on A, whatever the first strength (Spohn 1988), so
+    (κ, A) is irreversible iff |κ(¬A) − κ(A)| > max_strength.  For a
+    normalized κ the largest gap over A is κ's largest value, so a witness
+    exists iff there are two worlds and max_value > max_strength.  The first
+    such κ is (0, …, 0, max_strength + 1): every earlier one has values up
+    to max_strength.  Its first such A is every world but the last, since
+    any smaller mask leaves a zero-valued world on both sides.
     """
     _check_strength_bound(max_strength)
-    full = universe.tautology().mask
-    for ocf in enumerate_ocfs(universe, max_value, max_worlds):
-        for a_mask in range(1, full):
-            prop = universe.prop_from_mask(a_mask)
-            report = check_ocf_reversibility(ocf, prop, -max_strength, max_strength)
-            if not report.passed:
-                return report.witness
-    return None
+    n = len(universe.worlds)
+    if n < 2 or max_value <= max_strength:
+        return None
+    ocf = OCF(universe, (0,) * (n - 1) + (max_strength + 1,))
+    prop = universe.prop_from_mask((1 << (n - 1)) - 1)
+    return check_ocf_reversibility(ocf, prop, -max_strength, max_strength).witness
 
 
 class CounterexampleFixture(_Value):

@@ -21,6 +21,10 @@ search versions of the library's two read-offs: the first compares every
 same-side pair of world labels through ``rank_of``, the second tries every
 signed strength in the bound.  The library must return equal reports.
 
+``enumerate_ocfs`` and ``find_ocf_irreversibility`` walk every bounded OCF
+and search it for an irreversible step; the library must build the same
+witness, or return ``None`` alike.
+
 ``agm_pairs`` and ``degree_pairs`` are the plain pair loops over int-mask
 tables that the library's pair phases replace with set algebra: one step per
 ordered pair of masks.  The library's phases must return the same case count
@@ -242,6 +246,25 @@ def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
               f"on {prop} with strength {alpha}")
     return AxiomReport("R", False, cases,
                        Witness(detail, ocf=ocf, proposition=prop, strength=alpha))
+
+
+def enumerate_ocfs(universe, max_value: int) -> Iterator[OCF]:
+    for values in product(range(max_value + 1), repeat=len(universe.worlds)):
+        if min(values) == 0:
+            yield OCF(universe, values)
+
+
+def find_ocf_irreversibility(universe, max_value: int, max_strength: int) -> Witness | None:
+    if max_strength < 0:
+        raise InputError("max strength must be at least 0")
+    full = (1 << len(universe.worlds)) - 1
+    for ocf in enumerate_ocfs(universe, max_value):
+        for a_mask in range(1, full):
+            report = check_ocf_reversibility(ocf, universe.prop_from_mask(a_mask),
+                                             -max_strength, max_strength)
+            if not report.passed:
+                return report.witness
+    return None
 
 
 def enumerate_ranked_models(universe, max_worlds: int = DEFAULT_ENUMERATION_BOUND

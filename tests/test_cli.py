@@ -145,6 +145,23 @@ def test_counterexample_generalized(capsys):
     assert "verdict: pass" in out
 
 
+@pytest.mark.parametrize("worlds", [7, 8])
+def test_counterexample_up_to_the_check_bound(capsys, worlds):
+    code, out, err = run(capsys, "counterexample", "--worlds", str(worlds))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"counterexample: {worlds} worlds ")
+    assert out.splitlines()[-1].startswith("verdict: pass")
+
+
+@pytest.mark.parametrize("worlds, err", [
+    ("3", "error: the counterexample needs at least four worlds\n"),
+    ("9", "error: universe has 9 worlds, over the bound of 8\n"),
+    ("100000000", "error: universe has 100000000 worlds, over the bound of 8\n")])
+def test_counterexample_world_count_out_of_range(capsys, monkeypatch, worlds, err):
+    monkeypatch.setattr(rankrev.cli, "counterexample_fixture", _refuse)
+    assert run(capsys, "counterexample", "--worlds", worlds) == (2, "", err)
+
+
 def test_represent(capsys):
     code, out, _ = run(capsys, "represent", "--model", FIXTURE)
     assert code == 0

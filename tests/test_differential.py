@@ -14,6 +14,8 @@ the references' object-level bodies, posterior for posterior.
 
 Order preservation and OCF reversal, which the library reads off rank
 vectors and ``reverse_strength``, are compared with the references' searches.
+So is the first irreversible OCF step, which the library builds in closed
+form, with the references' walk over every bounded OCF.
 
 The set-algebra pair phases of ``check_agm`` and ``check_degree_conditions``
 are compared with the references' plain pair loops on the same int-mask
@@ -416,7 +418,7 @@ def test_ocf_reversal_matches_strength_scan_up_to_four_worlds():
     passed = failed = 0
     for n, max_value in ((2, 4), (3, 4), (4, 3)):
         u = plain_universe(n)
-        for ocf in rr.enumerate_ocfs(u, max_value):
+        for ocf in reference.enumerate_ocfs(u, max_value):
             for mask in range(1, (1 << n) - 1):
                 prop = u.prop_from_mask(mask)
                 for max_strength in range(5):
@@ -427,3 +429,18 @@ def test_ocf_reversal_matches_strength_scan_up_to_four_worlds():
                         passed += report.passed
                         failed += not report.passed
     assert passed and failed
+
+
+def test_ocf_irreversibility_witness_matches_search():
+    # Value bounds below, at and above the strength bound, so both outcomes occur.
+    outcomes = set()
+    for n in range(1, 6):
+        u = plain_universe(n)
+        for max_value in range(-1, 5):
+            if (max_value + 1) ** n > 5000:
+                continue
+            for max_strength in range(4):
+                got = rr.find_ocf_irreversibility(u, max_value, max_strength)
+                assert got == reference.find_ocf_irreversibility(u, max_value, max_strength)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}

