@@ -24,7 +24,7 @@ from .worlds import Proposition, Universe, _require_same_universe, _set, _Value
 class RankedModel(_Value):
     """An ordered partition of the universe; earlier blocks are more believable."""
 
-    __slots__ = ("blocks", "_ranks")
+    __slots__ = ("blocks", "_ranks", "_believed")
 
     def __init__(self, blocks: Iterable[Proposition]):
         blocks = tuple(blocks)

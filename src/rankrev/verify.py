@@ -37,6 +37,13 @@ decides a property for every B at once.  For each A the phase builds the set
 of B at which the axiom fails; its lowest set bit is the first failing pair
 in (A, B) order, so verdicts, witnesses and case counts are those of the
 plain pair loop over 4^n cases.
+
+The iteration checker needs no table: for B within one side of A, the prior
+and the rule's output revise every B alike exactly when they order that
+side's worlds alike, so each A compares two chains of block masks, and
+``revise`` only words a witness.  B9 and B10 read the same rule outputs, so
+a passing check stores them on the model in one assignment, and the other
+axiom under an equal rule reuses them.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, Universe, _Value, check_world_bound
+from .worlds import Proposition, Universe, _set, _Value, check_world_bound
 
 DEFAULT_CHECK_BOUND = 8
 # find_irreversibility walks every ranked model (Fubini(n) of them).
@@ -221,11 +228,10 @@ def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
     return size * size, None
 
 
-def _nonempty_submasks(mask: int) -> Iterator[int]:
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
+def _chain(blocks: Sequence[int], side: int) -> list[int]:
+    """The side's worlds grouped by their rank under these block masks, most
+    believable first."""
+    return [m for m in (block & side for block in blocks) if m]
 
 
 def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
@@ -237,8 +243,21 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     complement.  Checked at the belief-set level, over every non-degenerate A
     and every eligible non-empty B.
 
-    The prior's side, ``revise(model, B)``, is tabulated once per
-    proposition; each case revises the rule's output on its block masks.
+    Under a ranking, the revision by B holds world w exactly when B holds w
+    and lies within the worlds at w's rank or later.  For B within one side
+    of A, the prior and the rule's output therefore revise every such B
+    alike iff they rank that side's worlds alike, ties included: iff the
+    side has the same ``_chain`` under both.  So each A costs one comparison
+    of two chains of block masks.  At the first A that fails, its side's
+    non-empty submasks are walked in descending order to the first B that
+    the two rankings revise differently; verdict, witness and ``cases`` are
+    those of that walk over every A in turn.  The public ``revise`` only
+    words the witness.
+
+    The rule's outputs for every "believe A" are the same for B9 and B10, so
+    a full pass with no failure stores their block masks on the model
+    (``_believed``, written once and whole), and a later call with an equal
+    rule reads them instead of applying the rule again.
     """
     axiom = axiom.upper()
     if axiom not in ("B9", "B10"):
@@ -246,25 +265,37 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     u = model.universe
     check_world_bound(len(u.worlds), max_worlds)
     full = u.tautology().mask
-    expected = [revise(model, u.prop_from_mask(m)).mask for m in range(full + 1)]
+    prior = [block.mask for block in model.blocks]
+    believed = getattr(model, "_believed", None)
+    posteriors = believed[1] if believed is not None and believed[0] == rule else None
+    computed = []
     cases = 0
     for a_mask in range(1, full):
-        a = u.prop_from_mask(a_mask)
-        revised = apply_rule(rule, model, EpistemicInput(a, Attitude.BELIEVE))
-        blocks = [block.mask for block in revised.blocks]
+        if posteriors is None:
+            revised = apply_rule(rule, model,
+                                 EpistemicInput(u.prop_from_mask(a_mask), Attitude.BELIEVE))
+            blocks = tuple(block.mask for block in revised.blocks)
+            computed.append(blocks)
+        else:
+            blocks = posteriors[a_mask - 1]
         side = a_mask if axiom == "B9" else full ^ a_mask
-        for b_mask in _nonempty_submasks(side):
+        if _chain(blocks, side) == _chain(prior, side):
+            cases += (1 << side.bit_count()) - 1
+            continue
+        b_mask = side
+        while True:
             cases += 1
-            for block in blocks:
-                got = block & b_mask
-                if got:
-                    break
-            if got != expected[b_mask]:
-                b = u.prop_from_mask(b_mask)
-                detail = (f"{axiom} violated: believe {a} then revise by {b} gives "
-                          f"{u.prop_from_mask(got)}, expected {u.prop_from_mask(expected[b_mask])}")
-                return AxiomReport(axiom, False, cases,
-                                   Witness(detail, model=model, proposition=a, second=b))
+            got = next(block & b_mask for block in blocks if block & b_mask)
+            if got != next(block & b_mask for block in prior if block & b_mask):
+                break
+            b_mask = (b_mask - 1) & side
+        a, b = u.prop_from_mask(a_mask), u.prop_from_mask(b_mask)
+        detail = (f"{axiom} violated: believe {a} then revise by {b} gives "
+                  f"{u.prop_from_mask(got)}, expected {revise(model, b)}")
+        return AxiomReport(axiom, False, cases,
+                           Witness(detail, model=model, proposition=a, second=b))
+    if posteriors is None:
+        _set(model, "_believed", (rule, tuple(computed)))
     return AxiomReport(axiom, True, cases)
 
 
@@ -370,21 +401,25 @@ def _degree_pairs(degree: list, first_block: list[int]) -> tuple[int, tuple[int,
         above[level] = higher
         higher |= at_level[level]
     has = _columns(range(size), n)
-    # pre[a][w] = {b : w ∈ first_block[a ∪ b]}.  It is built from pre[a'], a'
+    # pre(a)[w] = {b : w ∈ first_block[a ∪ b]}.  It is built from pre(a'), a'
     # being a without its lowest world l: b ∪ a = (b ∪ {l}) ∪ a', so b is in
-    # it when b holds l and is in pre[a'][w], or b ∪ {l} is.
-    pre = [_columns(first_block, n)]
+    # it when b holds l and is in pre(a')[w], or b ∪ {l} is.  Every mask
+    # between a' and a adds only worlds below l to a', so it has more worlds
+    # than a': a' is the last mask of its size before a, and one row per size
+    # is kept.
+    pre = [_columns(first_block, n)] + [None] * n
     for a in range(1, size):
         low = a & -a
         holds_low = has[low.bit_length() - 1]
+        level = a.bit_count()
         row = []
         meets = 0
-        for w, s in enumerate(pre[a ^ low]):
+        for w, s in enumerate(pre[level - 1]):
             s &= holds_low
             s |= s >> low
             row.append(s)
             meets |= has[w] & s
-        pre.append(row)
+        pre[level] = row
         failing = ~(above[degree[a]] ^ meets) & nonempty
         if failing:
             b = (failing & -failing).bit_length() - 1

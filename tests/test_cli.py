@@ -93,6 +93,25 @@ def test_check_flip_fails_b10(capsys):
     assert "b10[r2]: FAIL" in out
 
 
+def test_check_b9_b10_under_flip_is_byte_exact(capsys):
+    # Axiom-major: every state's B9, then every state's B10.  B10 reads the
+    # posteriors B9 stored on the same state, and no other state's.
+    code, out, err = run(capsys, "check", "--model", FIXTURE, "--rule", "flip",
+                         "--axioms", "b9,b10")
+    assert (code, err) == (1, "")
+    assert out == (
+        "b9[r1]: pass (50 cases)\n"
+        "b9[r2]: pass (50 cases)\n"
+        "b9[r3]: pass (50 cases)\n"
+        "b10[r1]: FAIL\n"
+        "  B10 violated: believe {AB} then revise by {Ab aB ab} gives {Ab ab}, expected {aB}\n"
+        "b10[r2]: FAIL\n"
+        "  B10 violated: believe {AB} then revise by {Ab aB ab} gives {ab}, expected {aB}\n"
+        "b10[r3]: FAIL\n"
+        "  B10 violated: believe {AB} then revise by {Ab aB ab} gives {ab}, expected {Ab}\n"
+        "result: FAIL (3 violations)\n")
+
+
 def test_check_requires_rule(capsys):
     code, _, err = run(capsys, "check", "--model", FIXTURE, "--axioms", "b9")
     assert code == 2

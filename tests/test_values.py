@@ -211,6 +211,16 @@ def test_ocf_from_a_list_is_hashable():
     assert listed == rr.OCF(u3, (0, 1, 2)) and hash(listed) == hash(rr.OCF(u3, (0, 1, 2)))
 
 
+def test_stored_posteriors_are_not_a_field():
+    model = model_yx()
+    assert rr.check_iteration_axiom(rr.lexicographic_rule, "B9", model).passed
+    assert model._believed == (rr.lexicographic_rule, ((1, 2), (2, 1)))
+    assert model == model_yx() and hash(model) == hash(model_yx())
+    assert repr(model) == M_YX_REPR
+    copied = pickle.loads(pickle.dumps(model))
+    assert copied == model and not hasattr(copied, "_believed")
+
+
 def test_rank_vector_is_computed_once_and_is_not_a_field():
     model = model_yx()
     assert model.ranks() == (1, 0)

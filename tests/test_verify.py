@@ -132,6 +132,26 @@ def test_pair_checkers_at_eleven_worlds_within_a_second():
     assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
+def _seeded_model(n: int, blocks: int, seed: int) -> rr.RankedModel:
+    ranks = [i % blocks for i in range(n)]
+    random.Random(seed).shuffle(ranks)
+    return rr.RankedModel.from_ranks(plain_universe(n), tuple(ranks))
+
+
+def test_degree_pairs_keep_one_row_per_level_at_twelve_worlds():
+    # The pair phase keeps the rows of one chain of masks, not of every mask.
+    n = 12
+    model = _seeded_model(n, 4, 12)
+    tracemalloc.start()
+    try:
+        report = rr.check_degree_conditions(model, max_worlds=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.passed, report.cases) == (True, n + (2 ** n - 1) ** 2)
+    assert peak < 2 << 20, f"{peak / 2 ** 20:.1f} MB"
+
+
 # ---------------------------------------------------------------------------
 # iteration axioms and order preservation
 
@@ -161,6 +181,47 @@ def test_flip_fails_b10_with_replayable_witness(r2):
 
 def test_flip_passes_b9(r2):
     assert rr.check_iteration_axiom(rr.flip_rule, "B9", r2).passed
+
+
+def _counting(rule: rr.RevisionRule) -> tuple[rr.RevisionRule, list]:
+    calls = []
+
+    def transform(model, epistemic_input):
+        calls.append(epistemic_input)
+        return rule.transform(model, epistemic_input)
+
+    return rr.RevisionRule(f"counting-{rule.name}", transform), calls
+
+
+@pytest.mark.parametrize("order", [("B9", "B10"), ("B10", "B9")])
+def test_b9_and_b10_share_one_rule_pass(order):
+    # 2^n - 2 inputs "believe A", each applied once for both axioms.
+    n = 8
+    model = _seeded_model(n, 4, 8)
+    rule, calls = _counting(rr.lexicographic_rule)
+    for axiom in order:
+        report = rr.check_iteration_axiom(rule, axiom, model)
+        assert (report.passed, report.cases) == (True, 3 ** n - 2 ** (n + 1) + 1)
+    assert len(calls) == 2 ** n - 2
+    assert [c.proposition.mask for c in calls] == list(range(1, 2 ** n - 1))
+
+
+def test_stored_posteriors_serve_only_their_own_rule():
+    model = _seeded_model(8, 4, 9)
+    assert rr.check_iteration_axiom(rr.lexicographic_rule, "B9", model).passed
+    report = rr.check_iteration_axiom(rr.flip_rule, "B10", model)
+    assert not report.passed
+    assert report == reference.check_iteration_axiom(rr.flip_rule, "B10", model, 8)
+
+
+def test_a_failing_pass_stores_no_posteriors():
+    model = _seeded_model(6, 3, 6)
+    report = rr.check_iteration_axiom(reverse_accepted_rule, "B9", model)
+    assert not report.passed
+    assert not hasattr(model, "_believed")
+    report = rr.check_iteration_axiom(reverse_accepted_rule, "B10", model)
+    assert report == reference.check_iteration_axiom(reverse_accepted_rule, "B10", model, 6)
+    assert report.passed and model._believed[0] == reverse_accepted_rule
 
 
 @pytest.mark.parametrize("rule", [rr.lexicographic_rule, rr.natural_rule, rr.spohn_rule(1)],
