@@ -24,8 +24,6 @@ from .revision import (
     rule_by_name,
 )
 from .verify import (
-    DEFAULT_CHECK_BOUND,
-    DEFAULT_ENUMERATION_BOUND,
     DEFAULT_MAX_STRENGTH,
     CounterexampleReport,
     _check_strength_bound,
@@ -41,6 +39,11 @@ from .verify import (
     revision_table,
 )
 from .worlds import Proposition, Universe, check_world_bound
+
+# World bounds on what the command line takes: the default of --max-worlds and
+# the largest --worlds of counterexample, then the largest --worlds of enumerate.
+DEFAULT_CHECK_BOUND = 8
+DEFAULT_ENUMERATION_BOUND = 6
 
 _SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+([0-9]+))?\s*")
 
@@ -220,13 +223,13 @@ def _cmd_check(args) -> int:
 def _run_check(axiom: str, name: str, state: RankedModel, rule: RevisionRule | None,
                props: list[tuple[str, Proposition]], args) -> int:
     if axiom == "agm":
-        report = check_agm(state, args.max_worlds)
+        report = check_agm(state)
         return _print_report(f"agm[{name}]", report)
     if axiom in ("b9", "b10"):
-        report = check_iteration_axiom(rule, axiom.upper(), state, args.max_worlds)
+        report = check_iteration_axiom(rule, axiom.upper(), state)
         return _print_report(f"{axiom}[{name}]", report)
     if axiom == "degrees":
-        report = check_degree_conditions(state, args.max_worlds)
+        report = check_degree_conditions(state)
         return _print_report(f"degrees[{name}]", report)
     if axiom == "order":
         cases = 0
@@ -337,7 +340,7 @@ def _cmd_enumerate(args) -> int:
         raise InputError("need at least one world")
     check_world_bound(args.worlds, DEFAULT_ENUMERATION_BOUND)
     universe = Universe(tuple(f"w{i + 1}" for i in range(args.worlds)))
-    count = sum(1 for _ in enumerate_ranked_models(universe, DEFAULT_ENUMERATION_BOUND))
+    count = sum(1 for _ in enumerate_ranked_models(universe))
     print(count)
     return 0
 
@@ -381,7 +384,7 @@ def _cmd_degrees(args) -> int:
         raise InputError(f"no state named {args.state!r} in model file")
     for name, prop in mf.props.items():
         print(_degree_line(degree, name, prop))
-    report = check_degree_conditions(state, args.max_worlds)
+    report = check_degree_conditions(state)
     return _print_report("degree conditions", report)
 
 

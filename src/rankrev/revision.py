@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import InputError
 from .ranking import OCF, RankedModel, _from_masks
@@ -136,9 +136,10 @@ def _require_revisable(state: RankedModel | OCF, prop: Proposition):
         raise InputError("revision rules reject the contradiction and the tautology")
 
 
-def _side_chain(model: RankedModel, side: int) -> list[int]:
-    """The side's worlds grouped by their relative rank, most believable first, as masks."""
-    return [m for m in (block.mask & side for block in model.blocks) if m]
+def _side_chain(blocks: Iterable[int], side: int) -> list[int]:
+    """The side's worlds grouped by their rank under these block masks, most
+    believable first."""
+    return [m for m in (block & side for block in blocks) if m]
 
 
 def _believed_side(epistemic_input: EpistemicInput) -> int:
@@ -149,7 +150,8 @@ def _believed_side(epistemic_input: EpistemicInput) -> int:
 
 def _lexicographic(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
     side = _believed_side(epistemic_input)
-    first, second = _side_chain(model, side), _side_chain(model, ~side)
+    blocks = [block.mask for block in model.blocks]
+    first, second = _side_chain(blocks, side), _side_chain(blocks, ~side)
     if epistemic_input.attitude is Attitude.SUSPEND:
         # Merge the sides level by level so neither outranks the other.
         return _from_masks(model.universe,
@@ -159,18 +161,19 @@ def _lexicographic(model: RankedModel, epistemic_input: EpistemicInput) -> Ranke
 
 def _natural(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
     side = _believed_side(epistemic_input)
-    front = _side_chain(model, side)[0]  # the required content, as in ``required_content``
+    blocks = [block.mask for block in model.blocks]
+    front = _side_chain(blocks, side)[0]  # the required content, as in ``required_content``
     if epistemic_input.attitude is Attitude.SUSPEND:
-        front |= _side_chain(model, ~side)[0]
-    return _from_masks(model.universe, [front] + _side_chain(model, ~front))
+        front |= _side_chain(blocks, ~side)[0]
+    return _from_masks(model.universe, [front] + _side_chain(blocks, ~front))
 
 
 def _flip(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
     if epistemic_input.attitude is Attitude.SUSPEND:
         return _lexicographic(model, epistemic_input)
     side = _believed_side(epistemic_input)
-    return _from_masks(model.universe,
-                       _side_chain(model, side) + _side_chain(model, ~side)[::-1])
+    blocks = [block.mask for block in model.blocks]
+    return _from_masks(model.universe, _side_chain(blocks, side) + _side_chain(blocks, ~side)[::-1])
 
 
 lexicographic_rule = RevisionRule("lex", _lexicographic)

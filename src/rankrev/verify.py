@@ -1,11 +1,12 @@
 """Exhaustive checkers for the revision axioms and the irreversibility argument.
 
-Everything here is desk-scale and exact: universes are small enough to
-enumerate every proposition and every ordered partition, so each checker
-quantifies over its whole case space and either passes or returns a
-replayable witness.  Successor sets, the model behind a revision table and
-the first irreversible OCF step are built directly, not found by scanning
-ordered partitions or bounded OCFs.
+Everything here is exact: each checker quantifies over its whole case space
+and either passes or returns a replayable witness.  The caller picks the
+universe, and the cost grows with it: 2^n propositions, 4^n pairs and
+Fubini(n) ranked models over n worlds.  Nothing here bounds n; the command
+line and the model reader do, where input arrives.  Successor sets, the
+model behind a revision table and the first irreversible OCF step are built
+directly, not found by scanning ordered partitions or bounded OCFs.
 
 The checkers cover three layers:
 
@@ -64,12 +65,8 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, Universe, _set, _Value, check_world_bound
+from .worlds import Proposition, Universe, _set, _Value
 
-DEFAULT_CHECK_BOUND = 8
-# find_irreversibility walks every ranked model (Fubini(n) of them).
-DEFAULT_SEARCH_BOUND = 5
-DEFAULT_ENUMERATION_BOUND = 6
 DEFAULT_MAX_STRENGTH = 3
 
 
@@ -108,7 +105,7 @@ def _check_strength_bound(max_strength: int):
         raise InputError("max strength must be at least 0")
 
 
-def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> AxiomReport:
+def check_agm(model: RankedModel) -> AxiomReport:
     """Check the eight single-step axioms exhaustively on one ranked model.
 
     B1-B6 run over every proposition, B7/B8 over every ordered pair.  B1
@@ -121,7 +118,6 @@ def check_agm(model: RankedModel, max_worlds: int = DEFAULT_CHECK_BOUND) -> Axio
     only for a witness.
     """
     u = model.universe
-    check_world_bound(len(u.worlds), max_worlds)
     prior = model.blocks[0].mask
     size = 1 << len(u.worlds)
     t = []
@@ -182,17 +178,6 @@ def _columns(table: Sequence[int], n: int) -> list[int]:
     return columns
 
 
-def _submask_sets(n: int) -> list[int]:
-    """For each mask m, the set of its submasks: those of m without its lowest
-    world, each taken with and without that world."""
-    sub = [1]
-    for m in range(1, 1 << n):
-        low = m & -m
-        rest = sub[m ^ low]
-        sub.append(rest | rest << low)
-    return sub
-
-
 def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
     """B7/B8 over every ordered pair of masks, given t[a] ⊆ a for every a.
 
@@ -207,20 +192,28 @@ def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
     """
     size = len(t)
     n = size.bit_length() - 1
-    full = size - 1
+    has = _columns(range(size), n)  # per world w: {c : w ∈ c}
     revised = _columns(t, n)  # per world w: {c : w ∈ t[c]}
-    # per world w: {c : w ∈ c, w ∉ t[c]}
-    dropped = [has & ~r for has, r in zip(_columns(range(size), n), revised)]
-    sub = _submask_sets(n)
+    dropped = [h & ~r for h, r in zip(has, revised)]  # per world w: {c : w ∈ c, w ∉ t[c]}
+    # sub[k] is the set of submasks of the last mask of k worlds visited.  The
+    # submasks of a are those of a without its lowest world l, each taken with
+    # and without l, and that mask is the last of its size before a (as in
+    # ``_degree_pairs``), so one set per size is kept.
+    sub = [1] * (n + 1)
     for a, t_a in enumerate(t):
-        b7 = b8 = 0
+        level = a.bit_count()
+        if a:
+            rest = sub[level - 1]
+            sub[level] = rest | rest << (a & -a)
+        b7 = b8 = meets = 0
         for w in range(n):
             if t_a >> w & 1:
                 b7 |= dropped[w]
+                meets |= has[w]
             else:
                 b8 |= revised[w]
-        b7 &= sub[a]
-        b8 &= sub[a] & ~sub[full ^ t_a]
+        b7 &= sub[level]
+        b8 &= sub[level] & meets
         failing = b7 | b8
         if failing:
             b = (failing & -failing).bit_length() - 1
@@ -228,14 +221,7 @@ def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
     return size * size, None
 
 
-def _chain(blocks: Sequence[int], side: int) -> list[int]:
-    """The side's worlds grouped by their rank under these block masks, most
-    believable first."""
-    return [m for m in (block & side for block in blocks) if m]
-
-
-def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
-                          max_worlds: int = DEFAULT_CHECK_BOUND) -> AxiomReport:
+def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) -> AxiomReport:
     """Check B9 (more precise information) or B10 (conflicting information).
 
     Both say that believing A and then B must land on the beliefs that B
@@ -247,11 +233,11 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     and lies within the worlds at w's rank or later.  For B within one side
     of A, the prior and the rule's output therefore revise every such B
     alike iff they rank that side's worlds alike, ties included: iff the
-    side has the same ``_chain`` under both.  So each A costs one comparison
-    of two chains of block masks.  At the first A that fails, its side's
-    non-empty submasks are walked in descending order to the first B that
-    the two rankings revise differently; verdict, witness and ``cases`` are
-    those of that walk over every A in turn.  The public ``revise`` only
+    side has the same ``_side_chain`` under both.  So each A costs one
+    comparison of two chains of block masks.  At the first A that fails, its
+    side's non-empty submasks are walked in descending order to the first B
+    that the two rankings revise differently; verdict, witness and ``cases``
+    are those of that walk over every A in turn.  The public ``revise`` only
     words the witness.
 
     The rule's outputs for every "believe A" are the same for B9 and B10, so
@@ -263,7 +249,6 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
     if axiom not in ("B9", "B10"):
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
     u = model.universe
-    check_world_bound(len(u.worlds), max_worlds)
     full = u.tautology().mask
     prior = [block.mask for block in model.blocks]
     believed = getattr(model, "_believed", None)
@@ -279,7 +264,7 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel,
         else:
             blocks = posteriors[a_mask - 1]
         side = a_mask if axiom == "B9" else full ^ a_mask
-        if _chain(blocks, side) == _chain(prior, side):
+        if _side_chain(blocks, side) == _side_chain(prior, side):
             cases += (1 << side.bit_count()) - 1
             continue
         b_mask = side
@@ -334,8 +319,7 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
     return AxiomReport("order", True, cases)
 
 
-def check_degree_conditions(model: RankedModel,
-                            max_worlds: int = DEFAULT_CHECK_BOUND) -> AxiomReport:
+def check_degree_conditions(model: RankedModel) -> AxiomReport:
     """Check the two conditions forcing degree = minimum rank.
 
     (i) a singleton's degree is its world's rank; (ii) for non-empty A, B:
@@ -350,7 +334,6 @@ def check_degree_conditions(model: RankedModel,
     (``_degree_pairs``) compares the sides for every pair.
     """
     u = model.universe
-    check_world_bound(len(u.worlds), max_worlds)
     cases = 0
     for w in u.worlds:
         cases += 1
@@ -427,8 +410,7 @@ def _degree_pairs(degree: list, first_block: list[int]) -> tuple[int, tuple[int,
     return full * full, None
 
 
-def enumerate_ranked_models(universe: Universe,
-                            max_worlds: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[RankedModel]:
+def enumerate_ranked_models(universe: Universe) -> Iterator[RankedModel]:
     """Every ranked model over the universe, exactly once, in canonical order.
 
     Canonical order: ascending number of blocks, then lexicographic on the
@@ -440,7 +422,6 @@ def enumerate_ranked_models(universe: Universe,
     block whenever the blocks still empty would outnumber the worlds left.
     The walk is lazy; each block proposition is built once, on first use.
     """
-    check_world_bound(len(universe.worlds), max_worlds)
     n = len(universe.worlds)
     props: dict[int, Proposition] = {}
 
@@ -481,8 +462,9 @@ def constrained_successors(model: RankedModel,
     prop = epistemic_input.proposition
     _require_revisable(model, prop)
     first = required_content(model, epistemic_input).mask
-    accepted = _side_chain(model, prop.mask & ~first)
-    rejected = _side_chain(model, ~prop.mask & ~first)
+    blocks = [block.mask for block in model.blocks]
+    accepted = _side_chain(blocks, prop.mask & ~first)
+    rejected = _side_chain(blocks, ~prop.mask & ~first)
 
     def merges(xs: list[int], ys: list[int]) -> list[list[int]]:
         if not xs or not ys:
@@ -552,17 +534,18 @@ def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
 
 
 def find_irreversibility(rule: RevisionRule, universe: Universe,
-                         max_strength: int = DEFAULT_MAX_STRENGTH,
-                         max_worlds: int = DEFAULT_SEARCH_BOUND) -> Witness | None:
+                         max_strength: int = DEFAULT_MAX_STRENGTH) -> Witness | None:
     """First (model, input) pair, in canonical order, that the rule cannot reverse.
 
     For any rule satisfying B9 and B10 over a universe of at least four
-    worlds such a pair exists; None means none was found within the bounds.
+    worlds such a pair exists; None means no step is irreversible within the
+    strength bound.  The walk covers every ranked model of the universe,
+    Fubini(n) of them.
     """
     if len(universe.worlds) < 4:
         raise InputError("irreversibility needs at least four worlds")
     full = universe.tautology().mask
-    for model in enumerate_ranked_models(universe, max_worlds):
+    for model in enumerate_ranked_models(universe):
         for a_mask in range(1, full):
             prop = universe.prop_from_mask(a_mask)
             for attitude in Attitude:

@@ -59,19 +59,10 @@ from rankrev import (
     rpm_from_ocf,
     spohn_conditionalize,
 )
-from rankrev.verify import DEFAULT_CHECK_BOUND, DEFAULT_ENUMERATION_BOUND
 
 
-def _check_bound(universe, max_worlds: int):
-    if len(universe.worlds) > max_worlds:
-        raise InputError(
-            f"universe has {len(universe.worlds)} worlds, over the bound of {max_worlds}"
-        )
-
-
-def check_agm(model: RankedModel, max_worlds: int) -> AxiomReport:
+def check_agm(model: RankedModel) -> AxiomReport:
     u = model.universe
-    _check_bound(u, max_worlds)
     prior = model.blocks[0]
     props = list(u.propositions())
     cases = 0
@@ -116,13 +107,11 @@ def _nonempty_submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def check_iteration_axiom(rule, axiom: str, model: RankedModel,
-                          max_worlds: int) -> AxiomReport:
+def check_iteration_axiom(rule, axiom: str, model: RankedModel) -> AxiomReport:
     axiom = axiom.upper()
     if axiom not in ("B9", "B10"):
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
     u = model.universe
-    _check_bound(u, max_worlds)
     full = u.tautology().mask
     cases = 0
     for a_mask in range(1, full):
@@ -140,9 +129,8 @@ def check_iteration_axiom(rule, axiom: str, model: RankedModel,
     return AxiomReport(axiom, True, cases)
 
 
-def check_degree_conditions(model: RankedModel, max_worlds: int) -> AxiomReport:
+def check_degree_conditions(model: RankedModel) -> AxiomReport:
     u = model.universe
-    _check_bound(u, max_worlds)
     cases = 0
     for w in u.worlds:
         cases += 1
@@ -267,9 +255,7 @@ def find_ocf_irreversibility(universe, max_value: int, max_strength: int) -> Wit
     return None
 
 
-def enumerate_ranked_models(universe, max_worlds: int = DEFAULT_ENUMERATION_BOUND
-                            ) -> Iterator[RankedModel]:
-    _check_bound(universe, max_worlds)
+def enumerate_ranked_models(universe) -> Iterator[RankedModel]:
     n = len(universe.worlds)
     for k in range(1, n + 1):
         for assignment in product(range(k), repeat=n):
@@ -281,8 +267,8 @@ def enumerate_ranked_models(universe, max_worlds: int = DEFAULT_ENUMERATION_BOUN
             yield RankedModel(tuple(universe.prop_from_mask(m) for m in masks))
 
 
-def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,
-                           max_worlds: int = DEFAULT_ENUMERATION_BOUND) -> tuple[RankedModel, ...]:
+def constrained_successors(model: RankedModel,
+                           epistemic_input: EpistemicInput) -> tuple[RankedModel, ...]:
     prop = epistemic_input.proposition
     if prop.universe != model.universe:
         raise InputError("input proposition is over a different universe")
@@ -309,17 +295,15 @@ def constrained_successors(model: RankedModel, epistemic_input: EpistemicInput,
 
     return tuple(
         candidate
-        for candidate in enumerate_ranked_models(u, max_worlds)
+        for candidate in enumerate_ranked_models(u)
         if candidate.blocks[0] == required and keeps_order(candidate)
     )
 
 
-def representation_check(table: Mapping[Proposition, Proposition],
-                         max_worlds: int = DEFAULT_CHECK_BOUND) -> RankedModel | None:
+def representation_check(table: Mapping[Proposition, Proposition]) -> RankedModel | None:
     if not table:
         raise InputError("empty revision table")
     universe = next(iter(table)).universe
-    _check_bound(universe, max_worlds)
     full = universe.tautology().mask
     masks = {p.mask for p in table}
     if any(p.universe != universe for p in table):
@@ -327,7 +311,7 @@ def representation_check(table: Mapping[Proposition, Proposition],
     if masks != set(range(1, full + 1)):
         raise InputError("table must be total over all non-empty propositions")
     wanted = {p.mask: t for p, t in table.items()}
-    for model in enumerate_ranked_models(universe, max_worlds):
+    for model in enumerate_ranked_models(universe):
         if all(
             revise(model, universe.prop_from_mask(mask)) == wanted[mask]
             for mask in range(1, full + 1)

@@ -401,6 +401,17 @@ def test_nine_worlds_are_over_the_default_bound(capsys, tmp_path):
         code, out, err = run(capsys, *argv, "--model", str(model))
         assert (code, out) == (2, ""), argv
         assert err == "error: universe has 9 worlds, over the bound of 8\n"
+    # A raised bound reaches every checker: nothing else refuses nine worlds.
+    for argv, expected in (
+            (("check", "--rule", "lex", "--axioms", "agm,b9,b10,degrees"),
+             "agm[s]: pass (262656 cases)\nb9[s]: pass (18660 cases)\n"
+             "b10[s]: pass (18660 cases)\ndegrees[s]: pass (261130 cases)\nresult: pass\n"),
+            (("represent",), "s: recovered exactly\nresult: pass\n"),
+            (("degrees", "--state", "s"),
+             f"state s = [{' '.join(f'w{i}' for i in range(9))}]\n"
+             "degree conditions: pass (261130 cases)\n")):
+        assert run(capsys, *argv, "--model", str(model), "--max-worlds", "9") == (
+            0, expected, ""), argv
 
 
 def test_represent_over_the_bound_tabulates_nothing(capsys, monkeypatch):

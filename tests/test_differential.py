@@ -50,11 +50,11 @@ from conftest import (
 RULES = [rr.lexicographic_rule, rr.natural_rule, rr.spohn_rule(1)]
 
 
-def _same_iteration_reports(rule, axiom, models, max_worlds=5):
+def _same_iteration_reports(rule, axiom, models):
     reports = []
     for model in models:
-        report = rr.check_iteration_axiom(rule, axiom, model, max_worlds)
-        assert report == reference.check_iteration_axiom(rule, axiom, model, max_worlds)
+        report = rr.check_iteration_axiom(rule, axiom, model)
+        assert report == reference.check_iteration_axiom(rule, axiom, model)
         reports.append(report)
     return reports
 
@@ -65,12 +65,12 @@ def _same_iteration_reports(rule, axiom, models, max_worlds=5):
 
 def test_agm_matches_reference_on_all_five_world_models():
     for model in ALL_MODELS_5:
-        assert rr.check_agm(model) == reference.check_agm(model, 5)
+        assert rr.check_agm(model) == reference.check_agm(model)
 
 
 def test_degrees_match_reference_on_all_five_world_models():
     for model in ALL_MODELS_5:
-        assert rr.check_degree_conditions(model) == reference.check_degree_conditions(model, 5)
+        assert rr.check_degree_conditions(model) == reference.check_degree_conditions(model)
 
 
 @pytest.mark.parametrize("axiom", ["B9", "B10"])
@@ -87,11 +87,10 @@ def test_iteration_matches_reference_on_all_five_world_models(rule, axiom):
 @given(ranked_models(max_worlds=6),
        st.sampled_from(RULES + [rr.flip_rule, reverse_accepted_rule]))
 def test_checkers_match_reference_up_to_six_worlds(model, rule):
-    assert rr.check_agm(model, 6) == reference.check_agm(model, 6)
-    assert (rr.check_degree_conditions(model, 6)
-            == reference.check_degree_conditions(model, 6))
+    assert rr.check_agm(model) == reference.check_agm(model)
+    assert rr.check_degree_conditions(model) == reference.check_degree_conditions(model)
     for axiom in ("B9", "B10"):
-        _same_iteration_reports(rule, axiom, [model], max_worlds=6)
+        _same_iteration_reports(rule, axiom, [model])
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +115,7 @@ def test_broken_degree_routes_fail_like_reference(monkeypatch, attr, broken):
     failed = 0
     for model in ALL_MODELS_5:
         report = rr.check_degree_conditions(model)
-        assert report == reference.check_degree_conditions(model, 5)
+        assert report == reference.check_degree_conditions(model)
         failed += not report.passed
     assert failed
 
@@ -206,7 +205,7 @@ def test_broken_revision_fails_agm_like_reference(monkeypatch, broken):
     axioms = set()
     for model in ALL_MODELS_5:
         report = rr.check_agm(model)
-        assert report == reference.check_agm(model, 5)
+        assert report == reference.check_agm(model)
         if not report.passed:
             axioms.add(report.witness.description.split()[0])
     assert axioms == BROKEN_REVISIONS[broken]
@@ -379,7 +378,7 @@ def test_iteration_rejects_rule_output_over_another_universe(axiom):
     model = ALL_MODELS_4[20]
     for check in (rr.check_iteration_axiom, reference.check_iteration_axiom):
         with pytest.raises(rr.InputError, match="operands are over different universes"):
-            check(rule, axiom, model, 5)
+            check(rule, axiom, model)
 
 
 # ---------------------------------------------------------------------------

@@ -57,21 +57,19 @@ def test_enumeration_canonical_order():
 
 
 def test_enumeration_bound():
-    with pytest.raises(InputError):
-        next(rr.enumerate_ranked_models(plain_universe(7)))
     assert sum(1 for _ in rr.enumerate_ranked_models(plain_universe(6))) == ordered_bell(6)
 
 
 def test_enumeration_is_lazy():
     u = plain_universe(20)
-    assert next(rr.enumerate_ranked_models(u, max_worlds=20)) == rr.RankedModel((u.tautology(),))
+    assert next(rr.enumerate_ranked_models(u)) == rr.RankedModel((u.tautology(),))
     u = plain_universe(7)
-    assert sum(1 for _ in rr.enumerate_ranked_models(u, max_worlds=7)) == ordered_bell(7) == 47293
+    assert sum(1 for _ in rr.enumerate_ranked_models(u)) == ordered_bell(7) == 47293
     # The first walk also fills the interpreter's free lists (about 0.8 MB of
     # tuples), which would otherwise count toward the peak of the second.
     tracemalloc.start()
     try:
-        for _ in rr.enumerate_ranked_models(u, max_worlds=7):
+        for _ in rr.enumerate_ranked_models(u):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -102,10 +100,9 @@ def test_check_agm_single_world():
 
 
 def test_check_agm_bound():
-    # The default bound is 8 worlds, three atoms.
+    # The command line's default bound is 8 worlds, three atoms; the library has none.
     assert rr.check_agm(rr.RankedModel((plain_universe(8).tautology(),))).passed
-    with pytest.raises(InputError, match="over the bound of 8"):
-        rr.check_agm(rr.RankedModel((plain_universe(9).tautology(),)))
+    assert rr.check_agm(rr.RankedModel((plain_universe(9).tautology(),))).passed
 
 
 def test_check_degree_conditions(r1, r3):
@@ -124,8 +121,8 @@ def test_pair_checkers_at_eleven_worlds_within_a_second():
     random.Random(11).shuffle(ranks)
     model = rr.RankedModel.from_ranks(plain_universe(n), tuple(ranks))
     start = time.perf_counter()
-    agm = rr.check_agm(model, max_worlds=n)
-    degrees = rr.check_degree_conditions(model, max_worlds=n)
+    agm = rr.check_agm(model)
+    degrees = rr.check_degree_conditions(model)
     elapsed = time.perf_counter() - start
     assert (agm.passed, agm.cases) == (True, 2 ** n + 4 ** n)
     assert (degrees.passed, degrees.cases) == (True, n + (2 ** n - 1) ** 2)
@@ -144,12 +141,26 @@ def test_degree_pairs_keep_one_row_per_level_at_twelve_worlds():
     model = _seeded_model(n, 4, 12)
     tracemalloc.start()
     try:
-        report = rr.check_degree_conditions(model, max_worlds=n)
+        report = rr.check_degree_conditions(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (report.passed, report.cases) == (True, n + (2 ** n - 1) ** 2)
     assert peak < 2 << 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+def test_agm_pairs_keep_one_submask_set_per_level_at_twelve_worlds():
+    # A submask set per mask would be 2^12 sets of 2^12 bits, about 1.4 MB.
+    n = 12
+    model = _seeded_model(n, 4, 12)
+    tracemalloc.start()
+    try:
+        report = rr.check_agm(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.passed, report.cases) == (True, 2 ** n + 4 ** n)
+    assert peak < 1 << 19, f"{peak / 2 ** 20:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +222,7 @@ def test_stored_posteriors_serve_only_their_own_rule():
     assert rr.check_iteration_axiom(rr.lexicographic_rule, "B9", model).passed
     report = rr.check_iteration_axiom(rr.flip_rule, "B10", model)
     assert not report.passed
-    assert report == reference.check_iteration_axiom(rr.flip_rule, "B10", model, 8)
+    assert report == reference.check_iteration_axiom(rr.flip_rule, "B10", model)
 
 
 def test_a_failing_pass_stores_no_posteriors():
@@ -220,7 +231,7 @@ def test_a_failing_pass_stores_no_posteriors():
     assert not report.passed
     assert not hasattr(model, "_believed")
     report = rr.check_iteration_axiom(reverse_accepted_rule, "B10", model)
-    assert report == reference.check_iteration_axiom(reverse_accepted_rule, "B10", model, 6)
+    assert report == reference.check_iteration_axiom(reverse_accepted_rule, "B10", model)
     assert report.passed and model._believed[0] == reverse_accepted_rule
 
 
