@@ -112,6 +112,8 @@ def main(argv=None) -> int:
         "degrees": _cmd_degrees,
     }[args.command]
     try:
+        if getattr(args, "max_worlds", 1) < 1:
+            raise InputError(f"--max-worlds must be at least 1, got {args.max_worlds}")
         return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

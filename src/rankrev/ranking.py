@@ -15,7 +15,7 @@ representations under iterated change.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .worlds import Proposition, Universe, _require_same_universe, _set, _Value
@@ -24,25 +24,19 @@ from .worlds import Proposition, Universe, _require_same_universe, _set, _Value
 class RankedModel(_Value):
     """An ordered partition of the universe; earlier blocks are more believable."""
 
-    __slots__ = ("blocks", "_ranks", "_believed")
+    __slots__ = ("blocks", "_ranks")
 
     def __init__(self, blocks: Iterable[Proposition]):
         blocks = tuple(blocks)
         if not blocks:
             raise InputError("ranked model needs at least one block")
         u = blocks[0].universe
-        union = 0
+        masks = []
         for block in blocks:
-            m = block.mask
             if block.universe is not u and block.universe != u:
                 raise InputError("blocks are over different universes")
-            if not m:
-                raise InputError("ranked model blocks must be non-empty")
-            if union & m:
-                raise InputError("ranked model blocks must be disjoint")
-            union |= m
-        if union != (1 << len(u.worlds)) - 1:
-            raise InputError("ranked model blocks must cover the universe")
+            masks.append(block.mask)
+        _require_partition(masks, (1 << len(u.worlds)) - 1)
         _set(self, "blocks", blocks)
 
     @classmethod
@@ -140,6 +134,22 @@ class OCF(_Value):
 
     def __str__(self) -> str:
         return "{" + " ".join(f"{w}:{v}" for w, v in zip(self.universe.worlds, self.values)) + "}"
+
+
+def _require_partition(masks: Sequence[int], full: int) -> Sequence[int]:
+    """The masks, if they are int masks forming an ordered partition of exactly ``full``."""
+    union = 0
+    for m in masks:
+        if type(m) is not int:
+            raise InputError("ranked model blocks must be int masks")
+        if not m:
+            raise InputError("ranked model blocks must be non-empty")
+        if union & m:
+            raise InputError("ranked model blocks must be disjoint")
+        union |= m
+    if union != full:
+        raise InputError("ranked model blocks must cover the universe")
+    return masks
 
 
 def _from_masks(universe: Universe, masks) -> RankedModel:

@@ -6,7 +6,8 @@ judgment in A yields the intersection of the belief sets that belief and
 disbelief in A would produce, i.e. the union of the two contents.
 
 A revision rule goes further and produces a whole posterior ranking, not just
-a belief set, computed on block masks.  Three concrete rules are provided:
+a belief set: it maps the prior's block masks to the posterior's.  Three
+concrete rules are provided:
 
 * ``lexicographic_rule`` stacks the accepted side above the rejected side,
   each side keeping its internal order; suspension merges the two sides level
@@ -30,10 +31,10 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import zip_longest
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
-from .ranking import OCF, RankedModel, _from_masks
+from .ranking import OCF, RankedModel, _from_masks, _require_partition
 from .worlds import Proposition, _require_same_universe, _Value
 
 
@@ -108,11 +109,12 @@ def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Pro
 
 
 class RevisionRule(_Value):
-    """A named total function from (ranked model, epistemic input) to ranked model."""
+    """A named total function ``transform(blocks, epistemic_input)`` from the prior's block
+    masks, most believable first, to the posterior's; :func:`apply_rule` applies it to a model."""
 
     __slots__ = ("name", "transform", "strength_based")
 
-    def __init__(self, name: str, transform: Callable[[RankedModel, EpistemicInput], RankedModel],
+    def __init__(self, name: str, transform: Callable[[tuple, EpistemicInput], Sequence[int]],
                  strength_based: bool = False):
         self._fill(name, transform, strength_based)
 
@@ -122,11 +124,17 @@ class RevisionRule(_Value):
 
 def apply_rule(rule: RevisionRule, model: RankedModel,
                epistemic_input: EpistemicInput) -> RankedModel:
-    """Validated rule application: a revisable input, an output over the model's universe."""
+    """Validated rule application: a revisable input, an output partitioning the universe."""
     _require_revisable(model, epistemic_input.proposition)
-    posterior = rule.transform(model, epistemic_input)
-    _require_same_universe(posterior, model)
-    return posterior
+    blocks = tuple(block.mask for block in model.blocks)
+    full = (1 << len(model.universe.worlds)) - 1
+    return _from_masks(model.universe, _posterior(rule, blocks, epistemic_input, full))
+
+
+def _posterior(rule: RevisionRule, blocks: tuple[int, ...], epistemic_input: EpistemicInput,
+               full: int) -> tuple[int, ...]:
+    """The rule's posterior block masks for prior ``blocks``, checked to partition ``full``."""
+    return _require_partition(tuple(rule.transform(blocks, epistemic_input)), full)
 
 
 def _require_revisable(state: RankedModel | OCF, prop: Proposition):
@@ -142,38 +150,34 @@ def _side_chain(blocks: Iterable[int], side: int) -> list[int]:
     return [m for m in (block & side for block in blocks) if m]
 
 
-def _believed_side(epistemic_input: EpistemicInput) -> int:
+def _target_side(epistemic_input: EpistemicInput) -> int:
     """The mask of the side an input puts first: the complement for disbelief."""
     mask = epistemic_input.proposition.mask
     return ~mask if epistemic_input.attitude is Attitude.DISBELIEVE else mask
 
 
-def _lexicographic(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-    side = _believed_side(epistemic_input)
-    blocks = [block.mask for block in model.blocks]
+def _lexicographic(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
+    side = _target_side(epistemic_input)
     first, second = _side_chain(blocks, side), _side_chain(blocks, ~side)
     if epistemic_input.attitude is Attitude.SUSPEND:
         # Merge the sides level by level so neither outranks the other.
-        return _from_masks(model.universe,
-                           [a | b for a, b in zip_longest(first, second, fillvalue=0)])
-    return _from_masks(model.universe, first + second)
+        return [a | b for a, b in zip_longest(first, second, fillvalue=0)]
+    return first + second
 
 
-def _natural(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-    side = _believed_side(epistemic_input)
-    blocks = [block.mask for block in model.blocks]
+def _natural(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
+    side = _target_side(epistemic_input)
     front = _side_chain(blocks, side)[0]  # the required content, as in ``required_content``
     if epistemic_input.attitude is Attitude.SUSPEND:
         front |= _side_chain(blocks, ~side)[0]
-    return _from_masks(model.universe, [front] + _side_chain(blocks, ~front))
+    return [front] + _side_chain(blocks, ~front)
 
 
-def _flip(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
+def _flip(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
     if epistemic_input.attitude is Attitude.SUSPEND:
-        return _lexicographic(model, epistemic_input)
-    side = _believed_side(epistemic_input)
-    blocks = [block.mask for block in model.blocks]
-    return _from_masks(model.universe, _side_chain(blocks, side) + _side_chain(blocks, ~side)[::-1])
+        return _lexicographic(blocks, epistemic_input)
+    side = _target_side(epistemic_input)
+    return _side_chain(blocks, side) + _side_chain(blocks, ~side)[::-1]
 
 
 lexicographic_rule = RevisionRule("lex", _lexicographic)
@@ -226,15 +230,15 @@ def spohn_rule(alpha: int) -> RevisionRule:
         raise InputError("rule strength must be at least 1; strength 0 would turn "
                          "belief into suspension")
 
-    def transform(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-        target = _believed_side(epistemic_input)
+    def transform(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
+        target = _target_side(epistemic_input)
         levels: dict[int, int] = {}
         for side, floor in ((target, 0), (~target, abs(epistemic_input.signed_strength(alpha)))):
-            chain = [(r, b.mask & side) for r, b in enumerate(model.blocks) if b.mask & side]
+            chain = [(r, b & side) for r, b in enumerate(blocks) if b & side]
             for r, m in chain:
                 level = r - chain[0][0] + floor
                 levels[level] = levels.get(level, 0) | m
-        return _from_masks(model.universe, [levels[v] for v in sorted(levels)])
+        return [levels[v] for v in sorted(levels)]
 
     return RevisionRule(f"spohn:{alpha}", transform, strength_based=True)
 

@@ -42,9 +42,8 @@ plain pair loop over 4^n cases.
 The iteration checker needs no table: for B within one side of A, the prior
 and the rule's output revise every B alike exactly when they order that
 side's worlds alike, so each A compares two chains of block masks, and
-``revise`` only words a witness.  B9 and B10 read the same rule outputs, so
-a passing check stores them on the model in one assignment, and the other
-axiom under an equal rule reuses them.
+``revise`` only words a witness.  It and ``check_reversibility`` apply the
+rule on block masks and build no posterior ranked model.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .revision import (
     Attitude,
     EpistemicInput,
     RevisionRule,
+    _posterior,
     _require_revisable,
     _side_chain,
     apply_rule,
@@ -65,7 +65,7 @@ from .revision import (
     revise,
     spohn_conditionalize,
 )
-from .worlds import Proposition, Universe, _set, _Value
+from .worlds import Proposition, Universe, _Value
 
 DEFAULT_MAX_STRENGTH = 3
 
@@ -233,36 +233,24 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
     and lies within the worlds at w's rank or later.  For B within one side
     of A, the prior and the rule's output therefore revise every such B
     alike iff they rank that side's worlds alike, ties included: iff the
-    side has the same ``_side_chain`` under both.  So each A costs one
-    comparison of two chains of block masks.  At the first A that fails, its
-    side's non-empty submasks are walked in descending order to the first B
-    that the two rankings revise differently; verdict, witness and ``cases``
-    are those of that walk over every A in turn.  The public ``revise`` only
-    words the witness.
-
-    The rule's outputs for every "believe A" are the same for B9 and B10, so
-    a full pass with no failure stores their block masks on the model
-    (``_believed``, written once and whole), and a later call with an equal
-    rule reads them instead of applying the rule again.
+    side has the same ``_side_chain`` under both.  So each A costs one rule
+    application on block masks (``_posterior``; no ranked model is built) and
+    one comparison of two chains of block masks.  At the first A that fails,
+    its side's non-empty submasks are walked in descending order to the first
+    B that the two rankings revise differently; verdict, witness and
+    ``cases`` are those of that walk over every A in turn.  The public
+    ``revise`` only words the witness.
     """
     axiom = axiom.upper()
     if axiom not in ("B9", "B10"):
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
     u = model.universe
     full = u.tautology().mask
-    prior = [block.mask for block in model.blocks]
-    believed = getattr(model, "_believed", None)
-    posteriors = believed[1] if believed is not None and believed[0] == rule else None
-    computed = []
+    prior = tuple(block.mask for block in model.blocks)
     cases = 0
     for a_mask in range(1, full):
-        if posteriors is None:
-            revised = apply_rule(rule, model,
-                                 EpistemicInput(u.prop_from_mask(a_mask), Attitude.BELIEVE))
-            blocks = tuple(block.mask for block in revised.blocks)
-            computed.append(blocks)
-        else:
-            blocks = posteriors[a_mask - 1]
+        believe_a = EpistemicInput(u.prop_from_mask(a_mask), Attitude.BELIEVE)
+        blocks = _posterior(rule, prior, believe_a, full)
         side = a_mask if axiom == "B9" else full ^ a_mask
         if _side_chain(blocks, side) == _side_chain(prior, side):
             cases += (1 << side.bit_count()) - 1
@@ -279,8 +267,6 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
                   f"{u.prop_from_mask(got)}, expected {revise(model, b)}")
         return AxiomReport(axiom, False, cases,
                            Witness(detail, model=model, proposition=a, second=b))
-    if posteriors is None:
-        _set(model, "_believed", (rule, tuple(computed)))
     return AxiomReport(axiom, True, cases)
 
 
@@ -479,17 +465,11 @@ def constrained_successors(model: RankedModel,
 
 def _reversal_candidates(rule: RevisionRule, prop: Proposition,
                          max_strength: int) -> list[EpistemicInput]:
-    if rule.strength_based:
-        candidates = []
-        for beta in range(-max_strength, max_strength + 1):
-            if beta > 0:
-                candidates.append(EpistemicInput(prop, Attitude.BELIEVE, beta))
-            elif beta < 0:
-                candidates.append(EpistemicInput(prop, Attitude.DISBELIEVE, -beta))
-            else:
-                candidates.append(EpistemicInput(prop, Attitude.SUSPEND))
-        return candidates
-    return [EpistemicInput(prop, att) for att in Attitude]
+    if not rule.strength_based:
+        return [EpistemicInput(prop, att) for att in Attitude]
+    return ([EpistemicInput(prop, Attitude.DISBELIEVE, s) for s in range(max_strength, 0, -1)]
+            + [EpistemicInput(prop, Attitude.SUSPEND)]
+            + [EpistemicInput(prop, Attitude.BELIEVE, s) for s in range(1, max_strength + 1)])
 
 
 def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input: EpistemicInput,
@@ -502,11 +482,14 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
     input is reported.
     """
     _check_strength_bound(max_strength)
-    revised = apply_rule(rule, model, epistemic_input)
+    _require_revisable(model, epistemic_input.proposition)
+    full = model.universe.tautology().mask
+    prior = tuple(block.mask for block in model.blocks)
+    revised = _posterior(rule, prior, epistemic_input, full)
     cases = 0
     for candidate in _reversal_candidates(rule, epistemic_input.proposition, max_strength):
         cases += 1
-        if apply_rule(rule, revised, candidate) == model:
+        if _posterior(rule, revised, candidate, full) == prior:
             return AxiomReport("R", True, cases, reversal=candidate)
     detail = (f"no attitude toward {epistemic_input.proposition} maps the revised model "
               f"back: {rule.name} is irreversible at ({model}, {epistemic_input})")

@@ -3,6 +3,7 @@ import sympy
 from hypothesis import strategies as st
 
 import rankrev as rr
+import reference_checkers as reference
 
 # The standard four-world fixture over atoms A, B: worlds AB, Ab, aB, ab.
 U4 = rr.Universe.from_atoms(("A", "B"))
@@ -127,7 +128,7 @@ def _reverse_accepted(model, epistemic_input):
     return rr.RankedModel(tuple(accepted[::-1] + rejected))
 
 
-reverse_accepted_rule = rr.RevisionRule("reverse-accepted", _reverse_accepted)
+reverse_accepted_rule = reference.object_rule("reverse-accepted", _reverse_accepted)
 
 
 def max_rank_degree(model, prop):

@@ -36,7 +36,10 @@ break revision here and in ``rankrev.verify`` alike.
 The rules and ``ranks`` are the object-level versions of the library's
 mask kernel: each side chain is a list of ``Proposition``s, spohn
 round-trips through an ``OCF``, and ranks scan every world index of each
-block.  The library's rules must return equal posteriors.
+block.  The library's rules must return equal posteriors.  A rule's
+contract is on block masks, so ``object_rule`` turns each object-level body
+into one: it rebuilds the prior as a ``RankedModel`` and returns the
+posterior's masks.
 """
 
 from itertools import product
@@ -330,6 +333,17 @@ def ranks(model: RankedModel) -> tuple[int, ...]:
     return tuple(out)
 
 
+def object_rule(name: str, fn, strength_based: bool = False) -> RevisionRule:
+    """The rule whose transform runs ``fn(prior model, epistemic input) -> RankedModel``
+    on the prior built from its block masks, and returns the posterior's masks."""
+    def transform(blocks, epistemic_input):
+        u = epistemic_input.proposition.universe
+        prior = RankedModel(tuple(u.prop_from_mask(m) for m in blocks))
+        return tuple(block.mask for block in fn(prior, epistemic_input).blocks)
+
+    return RevisionRule(name, transform, strength_based)
+
+
 def _side_chain(model: RankedModel, side: Proposition) -> list[Proposition]:
     return [b.intersect(side) for b in model.blocks if not b.intersect(side).is_empty]
 
@@ -370,15 +384,15 @@ def _flip(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
     return _lexicographic(model, epistemic_input)
 
 
-lexicographic_rule = RevisionRule("lex", _lexicographic)
-natural_rule = RevisionRule("natural", _natural)
-flip_rule = RevisionRule("flip", _flip)
+lexicographic_rule = object_rule("lex", _lexicographic)
+natural_rule = object_rule("natural", _natural)
+flip_rule = object_rule("flip", _flip)
 
 
 def spohn_rule(alpha: int) -> RevisionRule:
-    def transform(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
+    def conditionalize(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
         signed = epistemic_input.signed_strength(alpha)
         posterior = spohn_conditionalize(ocf_from_rpm(model), epistemic_input.proposition, signed)
         return rpm_from_ocf(posterior)
 
-    return RevisionRule(f"spohn:{alpha}", transform, strength_based=True)
+    return object_rule(f"spohn:{alpha}", conditionalize, strength_based=True)

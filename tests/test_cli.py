@@ -414,6 +414,23 @@ def test_nine_worlds_are_over_the_default_bound(capsys, tmp_path):
             0, expected, ""), argv
 
 
+FOUR_ATOMS = "atoms A B C D\nworlds auto\nprop p = A\nrpm s = [ABCD] [" + " ".join(
+    "".join(c if i >> (3 - j) & 1 else c.lower() for j, c in enumerate("ABCD"))
+    for i in range(15)) + "]\n"
+
+
+@pytest.mark.parametrize("bound", ["-1", "0"])
+@pytest.mark.parametrize("argv", [("check", "--axioms", "agm"),
+                                  ("check", "--axioms", "order", "--rule", "lex"),
+                                  ("check", "--axioms", "r", "--rule", "lex"),
+                                  ("represent",), ("degrees", "--state", "s")])
+def test_max_worlds_below_one_is_a_usage_error(capsys, tmp_path, argv, bound):
+    model = tmp_path / "four.bel"
+    model.write_text(FOUR_ATOMS, encoding="utf-8")
+    assert run(capsys, *argv, "--model", str(model), "--max-worlds", bound) == (
+        2, "", f"error: --max-worlds must be at least 1, got {bound}\n")
+
+
 def test_represent_over_the_bound_tabulates_nothing(capsys, monkeypatch):
     def refuse(model):
         raise AssertionError("revision_table called")

@@ -67,12 +67,37 @@ def test_revision_input_contract(call, uni, r2, k1):
             call(r2, k1, degenerate)
 
 
-def test_apply_rule_rejects_output_over_another_universe(r2):
-    other = rr.Universe.from_atoms(("C", "D"))
-    rule = rr.RevisionRule("relabel", lambda model, _: rr.RankedModel.from_ranks(
-        other, model.ranks()))
-    with pytest.raises(InputError, match="^operands are over different universes$"):
-        rr.apply_rule(rule, r2, BELIEVE_A)
+# Mask rules whose output is not an ordered partition of the universe, each
+# with the error it raises.
+BAD_RULE_OUTPUTS = {
+    "overlapping": (lambda blocks, _: (blocks[0],) + blocks,
+                    "ranked model blocks must be disjoint"),
+    "empty-block": (lambda blocks, _: blocks + (0,), "ranked model blocks must be non-empty"),
+    "outside-bit": (lambda blocks, _: blocks[:-1] + (blocks[-1] | 1 << 4,),
+                    "ranked model blocks must cover the universe"),
+    "missing-world": (lambda blocks, _: tuple(b & ~1 for b in blocks if b & ~1),
+                      "ranked model blocks must cover the universe"),
+    "not-int": (lambda blocks, _: tuple(map(float, blocks)),
+                "ranked model blocks must be int masks"),
+}
+
+# Every operation that applies a rule to a ranked model over U4.
+RULE_CALLERS = {
+    "apply_rule": lambda rule, r2: rr.apply_rule(rule, r2, BELIEVE_A),
+    "B9": lambda rule, r2: rr.check_iteration_axiom(rule, "B9", r2),
+    "B10": lambda rule, r2: rr.check_iteration_axiom(rule, "B10", r2),
+    "check_order_preservation": lambda rule, r2: rr.check_order_preservation(
+        rule, r2, BELIEVE_A.proposition),
+    "check_reversibility": lambda rule, r2: rr.check_reversibility(rule, r2, BELIEVE_A),
+    "find_irreversibility": lambda rule, r2: rr.find_irreversibility(rule, U4),
+}
+
+
+@pytest.mark.parametrize("call", RULE_CALLERS.values(), ids=RULE_CALLERS)
+@pytest.mark.parametrize("output, message", BAD_RULE_OUTPUTS.values(), ids=BAD_RULE_OUTPUTS)
+def test_rule_output_must_partition_the_universe(call, output, message, r2):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call(rr.RevisionRule("bad", output), r2)
 
 
 def test_lexicographic_rule(uni, r1, r3, prop_a):
