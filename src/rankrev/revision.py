@@ -127,14 +127,13 @@ def apply_rule(rule: RevisionRule, model: RankedModel,
     """Validated rule application: a revisable input, an output partitioning the universe."""
     _require_revisable(model, epistemic_input.proposition)
     blocks = tuple(block.mask for block in model.blocks)
-    full = (1 << len(model.universe.worlds)) - 1
-    return _from_masks(model.universe, _posterior(rule, blocks, epistemic_input, full))
+    return _from_masks(model.universe, _posterior(rule, blocks, epistemic_input))
 
 
-def _posterior(rule: RevisionRule, blocks: tuple[int, ...], epistemic_input: EpistemicInput,
-               full: int) -> tuple[int, ...]:
-    """The rule's posterior block masks for prior ``blocks``, checked to partition ``full``."""
-    return _require_partition(tuple(rule.transform(blocks, epistemic_input)), full)
+def _posterior(rule: RevisionRule, blocks: tuple[int, ...],
+               epistemic_input: EpistemicInput) -> tuple[int, ...]:
+    """The rule's posterior block masks for prior ``blocks``, checked to partition their union."""
+    return _require_partition(tuple(rule.transform(blocks, epistemic_input)), sum(blocks))
 
 
 def _require_revisable(state: RankedModel | OCF, prop: Proposition):

@@ -42,8 +42,8 @@ plain pair loop over 4^n cases.
 The iteration checker needs no table: for B within one side of A, the prior
 and the rule's output revise every B alike exactly when they order that
 side's worlds alike, so each A compares two chains of block masks, and
-``revise`` only words a witness.  It and ``check_reversibility`` apply the
-rule on block masks and build no posterior ranked model.
+``revise`` only words a witness.  It, ``check_reversibility`` and the search
+``find_irreversibility`` apply the rule on block masks, building no posterior.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
     cases = 0
     for a_mask in range(1, full):
         believe_a = EpistemicInput(u.prop_from_mask(a_mask), Attitude.BELIEVE)
-        blocks = _posterior(rule, prior, believe_a, full)
+        blocks = _posterior(rule, prior, believe_a)
         side = a_mask if axiom == "B9" else full ^ a_mask
         if _side_chain(blocks, side) == _side_chain(prior, side):
             cases += (1 << side.bit_count()) - 1
@@ -465,11 +465,19 @@ def constrained_successors(model: RankedModel,
 
 def _reversal_candidates(rule: RevisionRule, prop: Proposition,
                          max_strength: int) -> list[EpistemicInput]:
+    _check_strength_bound(max_strength)
     if not rule.strength_based:
         return [EpistemicInput(prop, att) for att in Attitude]
     return ([EpistemicInput(prop, Attitude.DISBELIEVE, s) for s in range(max_strength, 0, -1)]
             + [EpistemicInput(prop, Attitude.SUSPEND)]
             + [EpistemicInput(prop, Attitude.BELIEVE, s) for s in range(1, max_strength + 1)])
+
+
+def _reversal(rule: RevisionRule, prior: tuple[int, ...], epistemic_input: EpistemicInput,
+              candidates: list[EpistemicInput]) -> EpistemicInput | None:
+    """The first candidate mapping the rule's output back to the prior's masks, or None."""
+    revised = _posterior(rule, prior, epistemic_input)
+    return next((c for c in candidates if _posterior(rule, revised, c) == prior), None)
 
 
 def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input: EpistemicInput,
@@ -479,21 +487,16 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
     Applies the rule, then tries every attitude on that proposition (every
     signed strength within the bound, for strength-based rules) and passes if
     one maps the revised model back to the original.  The successful reversal
-    input is reported.
+    input is reported, and ``cases`` counts the candidates tried.
     """
-    _check_strength_bound(max_strength)
+    candidates = _reversal_candidates(rule, epistemic_input.proposition, max_strength)
     _require_revisable(model, epistemic_input.proposition)
-    full = model.universe.tautology().mask
-    prior = tuple(block.mask for block in model.blocks)
-    revised = _posterior(rule, prior, epistemic_input, full)
-    cases = 0
-    for candidate in _reversal_candidates(rule, epistemic_input.proposition, max_strength):
-        cases += 1
-        if _posterior(rule, revised, candidate, full) == prior:
-            return AxiomReport("R", True, cases, reversal=candidate)
+    reversal = _reversal(rule, tuple(b.mask for b in model.blocks), epistemic_input, candidates)
+    if reversal is not None:
+        return AxiomReport("R", True, candidates.index(reversal) + 1, reversal=reversal)
     detail = (f"no attitude toward {epistemic_input.proposition} maps the revised model "
               f"back: {rule.name} is irreversible at ({model}, {epistemic_input})")
-    return AxiomReport("R", False, cases,
+    return AxiomReport("R", False, len(candidates),
                        Witness(detail, model=model, epistemic_input=epistemic_input))
 
 
@@ -522,20 +525,20 @@ def find_irreversibility(rule: RevisionRule, universe: Universe,
 
     For any rule satisfying B9 and B10 over a universe of at least four
     worlds such a pair exists; None means no step is irreversible within the
-    strength bound.  The walk covers every ranked model of the universe,
-    Fubini(n) of them.
+    strength bound.  The walk reads the block masks of every ranked model,
+    Fubini(n) of them, and ``check_reversibility`` only words the witness.
     """
     if len(universe.worlds) < 4:
         raise InputError("irreversibility needs at least four worlds")
-    full = universe.tautology().mask
+    steps = []
+    for prop in list(universe.propositions())[1:-1]:
+        candidates = _reversal_candidates(rule, prop, max_strength)
+        steps += [(EpistemicInput(prop, attitude), candidates) for attitude in Attitude]
     for model in enumerate_ranked_models(universe):
-        for a_mask in range(1, full):
-            prop = universe.prop_from_mask(a_mask)
-            for attitude in Attitude:
-                epistemic_input = EpistemicInput(prop, attitude)
-                report = check_reversibility(rule, model, epistemic_input, max_strength)
-                if not report.passed:
-                    return report.witness
+        prior = tuple(block.mask for block in model.blocks)
+        for epistemic_input, candidates in steps:
+            if _reversal(rule, prior, epistemic_input, candidates) is None:
+                return check_reversibility(rule, model, epistemic_input, max_strength).witness
     return None
 
 
@@ -694,26 +697,23 @@ def representation_check(table: Mapping[Proposition, Proposition]) -> RankedMode
 
     The table must be total over the non-empty propositions of one universe.
     Peels the model's blocks (a system of spheres, Grove 1988), each the
-    table's content for the worlds not yet placed, then checks the whole
-    table against it; a table no model reproduces yields None.
+    table's content for the worlds not yet placed, then checks each entry of
+    the given table against it; a table no model reproduces yields None.
     """
     if not table:
         raise InputError("empty revision table")
     universe = next(iter(table)).universe
     full = universe.tautology().mask
-    masks = {p.mask for p in table}
     if any(p.universe != universe for p in table):
         raise InputError("table keys are over different universes")
-    if masks != set(range(1, full + 1)):
+    if len(table) != full or universe.contradiction() in table:
         raise InputError("table must be total over all non-empty propositions")
-    wanted = {p.mask: t for p, t in table.items()}
-    blocks = []
-    remaining = full
+    blocks, remaining = [], full
     while remaining:
-        block = wanted[remaining].mask
+        block = table[universe.prop_from_mask(remaining)].mask
         if not block or block & ~remaining:
             return None
         blocks.append(universe.prop_from_mask(block))
         remaining &= ~block
     model = RankedModel(tuple(blocks))
-    return model if revision_table(model) == dict(table) else None
+    return model if all(revise(model, p) == t for p, t in table.items()) else None

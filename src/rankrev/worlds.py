@@ -176,12 +176,13 @@ class Proposition(_Value):
     def __init__(self, universe: Universe, mask: int):
         _set(self, "universe", universe)
         _set(self, "mask", mask)
-        # Validation is looked up on ``self``, so a wrapper installed on the
-        # class (the benchmark's tracer counts constructions this way) sees
-        # every proposition built.
+        # Validation is looked up on ``self``, so a wrapper on the class (the
+        # benchmark's tracer counts constructions so) sees every proposition.
         self.__post_init__()
 
     def __post_init__(self):
+        if type(self.mask) is not int:
+            raise InputError(f"proposition mask must be an int, got {self.mask!r}")
         if not 0 <= self.mask < (1 << len(self.universe.worlds)):
             raise InputError("proposition mask out of range for its universe")
 

@@ -131,6 +131,24 @@ def _reverse_accepted(model, epistemic_input):
 reverse_accepted_rule = reference.object_rule("reverse-accepted", _reverse_accepted)
 
 
+def _swap_believed_groups(blocks, epistemic_input):
+    """Lexicographic, but with the believed side's second and third tie groups
+    swapped.  Revising by B = A still lands on A's first group, so a failing
+    B9 walk goes on to a B strictly inside A."""
+    posterior = list(rr.lexicographic_rule.transform(blocks, epistemic_input))
+    mask = epistemic_input.proposition.mask
+    side = {rr.Attitude.BELIEVE: mask, rr.Attitude.DISBELIEVE: ~mask}.get(epistemic_input.attitude)
+    if side is not None and sum(1 for block in blocks if block & side) >= 3:
+        posterior[1], posterior[2] = posterior[2], posterior[1]
+    return posterior
+
+
+swapped_groups_rule = rr.RevisionRule("swap-second-third", _swap_believed_groups)
+
+# A rule that leaves every ranking as it is: every step is undone by any input.
+unchanged_rule = rr.RevisionRule("unchanged", lambda blocks, _: blocks)
+
+
 def max_rank_degree(model, prop):
     """A broken degree route: the maximum rank over the worlds, not the minimum."""
     ranks = model.ranks()

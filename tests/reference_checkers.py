@@ -21,6 +21,12 @@ search versions of the library's two read-offs: the first compares every
 same-side pair of world labels through ``rank_of``, the second tries every
 signed strength in the bound.  The library must return equal reports.
 
+``check_reversibility`` and ``find_irreversibility`` are the object-level
+versions of the library's reversal step on block masks: each candidate is
+tried through ``apply_rule`` on ranked models, and the search scans models ×
+propositions × attitudes through that checker.  The library must return
+equal reports and the same first witness.
+
 ``enumerate_ocfs`` and ``find_ocf_irreversibility`` walk every bounded OCF
 and search it for an irreversible step; the library must build the same
 witness, or return ``None`` alike.
@@ -221,6 +227,46 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
                                            epistemic_input=EpistemicInput(prop, attitude),
                                            world_pair=(w1, w2)))
     return AxiomReport("order", True, cases)
+
+
+def _reversal_candidates(rule: RevisionRule, prop: Proposition,
+                         max_strength: int) -> list[EpistemicInput]:
+    if not rule.strength_based:
+        return [EpistemicInput(prop, attitude) for attitude in Attitude]
+    return ([EpistemicInput(prop, Attitude.DISBELIEVE, s) for s in range(max_strength, 0, -1)]
+            + [EpistemicInput(prop, Attitude.SUSPEND)]
+            + [EpistemicInput(prop, Attitude.BELIEVE, s) for s in range(1, max_strength + 1)])
+
+
+def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input: EpistemicInput,
+                        max_strength: int) -> AxiomReport:
+    if max_strength < 0:
+        raise InputError("max strength must be at least 0")
+    revised = apply_rule(rule, model, epistemic_input)
+    cases = 0
+    for candidate in _reversal_candidates(rule, epistemic_input.proposition, max_strength):
+        cases += 1
+        if apply_rule(rule, revised, candidate) == model:
+            return AxiomReport("R", True, cases, reversal=candidate)
+    detail = (f"no attitude toward {epistemic_input.proposition} maps the revised model "
+              f"back: {rule.name} is irreversible at ({model}, {epistemic_input})")
+    return AxiomReport("R", False, cases,
+                       Witness(detail, model=model, epistemic_input=epistemic_input))
+
+
+def find_irreversibility(rule: RevisionRule, universe, max_strength: int) -> Witness | None:
+    if len(universe.worlds) < 4:
+        raise InputError("irreversibility needs at least four worlds")
+    full = universe.tautology().mask
+    for model in enumerate_ranked_models(universe):
+        for a_mask in range(1, full):
+            prop = universe.prop_from_mask(a_mask)
+            for attitude in Attitude:
+                report = check_reversibility(rule, model, EpistemicInput(prop, attitude),
+                                             max_strength)
+                if not report.passed:
+                    return report.witness
+    return None
 
 
 def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,

@@ -12,6 +12,11 @@ compared with the references' filter and scan over every ranked model.
 The rules and ``ranks()``, which compute on block masks, are compared with
 the references' object-level bodies, posterior for posterior.
 
+Reversal, which the library runs on block masks, is compared with the
+references' ``apply_rule`` per candidate, report for report, and the
+irreversibility search with their scan over models, propositions and
+attitudes, witness for witness.
+
 Order preservation and OCF reversal, which the library reads off rank
 vectors and ``reverse_strength``, are compared with the references' searches.
 So is the first irreversible OCF step, which the library builds in closed
@@ -45,6 +50,8 @@ from conftest import (
     ranked_models,
     reverse_accepted_rule,
     shifted_degree,
+    swapped_groups_rule,
+    unchanged_rule,
 )
 
 RULES = [rr.lexicographic_rule, rr.natural_rule, rr.spohn_rule(1)]
@@ -85,7 +92,7 @@ def test_iteration_matches_reference_on_all_five_world_models(rule, axiom):
 
 @settings(max_examples=25, deadline=None)
 @given(ranked_models(max_worlds=6),
-       st.sampled_from(RULES + [rr.flip_rule, reverse_accepted_rule]))
+       st.sampled_from(RULES + [rr.flip_rule, reverse_accepted_rule, swapped_groups_rule]))
 def test_checkers_match_reference_up_to_six_worlds(model, rule):
     assert rr.check_agm(model) == reference.check_agm(model)
     assert rr.check_degree_conditions(model) == reference.check_degree_conditions(model)
@@ -105,6 +112,15 @@ def test_flip_b10_failures_match_reference():
 def test_reverse_accepted_b9_failures_match_reference():
     reports = _same_iteration_reports(reverse_accepted_rule, "B9", ALL_MODELS_5)
     assert any(not r.passed for r in reports)
+
+
+def test_swapped_groups_b9_failures_walk_past_b_equal_to_a():
+    # flip and reverse-accepted already differ at B = A; this rule does not, so
+    # the walk steps down A's submasks before it fails.
+    reports = _same_iteration_reports(swapped_groups_rule, "B9", ALL_MODELS_5)
+    witnesses = [r.witness for r in reports if not r.passed]
+    assert any(w.second != w.proposition and w.second.entails(w.proposition)
+               for w in witnesses)
 
 
 @pytest.mark.parametrize("attr, broken", [("disbelief_degree", max_rank_degree),
@@ -421,3 +437,41 @@ def test_ocf_irreversibility_witness_matches_search():
                 assert got == reference.find_ocf_irreversibility(u, max_value, max_strength)
                 outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the reversal step on block masks against apply_rule per candidate
+
+
+REVERSAL_RULES = [rr.lexicographic_rule, rr.natural_rule, rr.flip_rule, rr.spohn_rule(1),
+                  rr.spohn_rule(2), reverse_accepted_rule, unchanged_rule]
+
+
+@pytest.mark.parametrize("rule", REVERSAL_RULES, ids=lambda r: r.name)
+def test_reversibility_matches_reference_on_all_four_world_inputs(rule):
+    verdicts = set()
+    for model in ALL_MODELS_4:
+        for mask in range(1, 15):
+            for attitude in rr.Attitude:
+                epistemic_input = rr.EpistemicInput(U4.prop_from_mask(mask), attitude)
+                for max_strength in (0, 3):
+                    report = rr.check_reversibility(rule, model, epistemic_input, max_strength)
+                    assert report == reference.check_reversibility(rule, model, epistemic_input,
+                                                                   max_strength)
+                    verdicts.add(report.passed)
+    assert verdicts == ({True} if rule is unchanged_rule else {True, False})
+
+
+# (rule, worlds, strength bound): every rule at four worlds, and all but the one
+# with no witness, which scans every model, at five.
+SEARCHES = ([(rule, 4, bound) for rule in REVERSAL_RULES for bound in (0, 3)]
+            + [(rule, 5, 3) for rule in REVERSAL_RULES if rule is not unchanged_rule])
+
+
+@pytest.mark.parametrize("rule, n, max_strength", SEARCHES,
+                         ids=[f"{rule.name}-{n}w-{bound}" for rule, n, bound in SEARCHES])
+def test_irreversibility_search_matches_reference(rule, n, max_strength):
+    u = plain_universe(n)
+    witness = rr.find_irreversibility(rule, u, max_strength)
+    assert witness == reference.find_irreversibility(rule, u, max_strength)
+    assert (witness is None) == (rule is unchanged_rule)

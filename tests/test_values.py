@@ -67,7 +67,10 @@ CASES = {
         lambda: rr.Proposition(universe=rr.Universe((X, Y)), mask=1),
         "Proposition(mask=1)", "mask",
         ((lambda: rr.Proposition(U2, 4), "proposition mask out of range for its universe"),
-         (lambda: rr.Proposition(U2, -1), "proposition mask out of range for its universe"))),
+         (lambda: rr.Proposition(U2, -1), "proposition mask out of range for its universe"),
+         (lambda: rr.Proposition(U2, 3.0), "proposition mask must be an int, got 3.0"),
+         (lambda: rr.Proposition(U2, "3"), "proposition mask must be an int, got '3'"),
+         (lambda: rr.Proposition(U2, True), "proposition mask must be an int, got True"))),
     "RankedModel": Case(
         model_xy,
         lambda: rr.RankedModel(blocks=[P_X, P_Y]),

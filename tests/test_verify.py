@@ -14,7 +14,7 @@ from rankrev import Attitude, EpistemicInput, InputError
 from rankrev.cli import render_counterexample
 
 from conftest import (ALL_MODELS_4, U4, max_rank_degree, plain_universe,
-                      reverse_accepted_rule, shifted_degree)
+                      reverse_accepted_rule, shifted_degree, unchanged_rule)
 
 A = U4.prop("AB", "Ab")
 
@@ -161,6 +161,20 @@ def test_agm_pairs_keep_one_submask_set_per_level_at_twelve_worlds():
         tracemalloc.stop()
     assert (report.passed, report.cases) == (True, 2 ** n + 4 ** n)
     assert peak < 1 << 19, f"{peak / 2 ** 20:.2f} MB"
+
+
+def test_representation_checks_the_given_table_in_place_at_twelve_worlds():
+    # A second table of 2^12 entries, or a copy of this one, would peak near 1 MB.
+    model = _seeded_model(12, 4, 12)
+    table = rr.revision_table(model)
+    tracemalloc.start()
+    try:
+        recovered = rr.representation_check(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recovered == model
+    assert peak < 100_000, f"{peak / 2 ** 20:.3f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +387,7 @@ def test_find_irreversibility_canonical_first_for_lex(uni):
 
 
 def test_find_irreversibility_finds_nothing_for_a_rule_that_changes_nothing(uni):
-    unchanged = rr.RevisionRule("unchanged", lambda blocks, _: blocks)
-    assert rr.find_irreversibility(unchanged, uni) is None
+    assert rr.find_irreversibility(unchanged_rule, uni) is None
 
 
 def test_find_irreversibility_small_universe_rejected():

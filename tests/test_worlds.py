@@ -31,6 +31,17 @@ def test_indices_are_the_set_bits_ascending():
         assert u.prop_from_mask(mask).indices() == tuple(i for i in range(9) if mask >> i & 1)
 
 
+@pytest.mark.parametrize("mask", [3.0, "3", True])
+def test_non_int_masks_are_rejected(mask):
+    # A float mask of the tautology's value once compared equal to it and
+    # failed only later, in ``labels()``; a bool is an int subclass, refused too.
+    u = rr.Universe(("x", "y"))
+    with pytest.raises(InputError, match="^proposition mask must be an int, got "):
+        u.prop_from_mask(mask)
+    with pytest.raises(InputError, match="^proposition mask must be an int, got "):
+        rr.Proposition(u, mask)
+
+
 def test_universe_validation():
     with pytest.raises(InputError):
         rr.Universe(())
