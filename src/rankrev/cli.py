@@ -13,7 +13,7 @@ import sys
 from typing import Callable
 
 from .errors import InputError, ParseError
-from .modelfile import ModelFile, load_model, read_text, resolve_proposition
+from .modelfile import MAX_MODEL_WORLDS, ModelFile, load_model, read_text, resolve_proposition
 from .ranking import RankedModel, rpm_from_ocf
 from .revision import (
     Attitude,
@@ -114,6 +114,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "max_worlds", 1) < 1:
             raise InputError(f"--max-worlds must be at least 1, got {args.max_worlds}")
+        # A ranking has at most MAX_MODEL_WORLDS ranks, and any strength from a
+        # model's block count up gives the same posterior.
+        if getattr(args, "max_strength", 0) > MAX_MODEL_WORLDS:
+            raise InputError(f"--max-strength must be at most {MAX_MODEL_WORLDS}, "
+                             f"got {args.max_strength}")
         return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

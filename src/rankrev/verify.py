@@ -48,6 +48,7 @@ side's worlds alike, so each A compares two chains of block masks, and
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -167,15 +168,9 @@ def _agm_fail(axiom: str, model: RankedModel, a_mask: int, b_mask: int | None,
 
 def _columns(table: Sequence[int], n: int) -> list[int]:
     """For each world w, the set of masks m whose entry ``table[m]`` holds w;
-    over ``range(2^n)``, the set of masks holding w."""
-    columns = [0] * n
-    for m, entry in enumerate(table):
-        bit = 1 << m
-        while entry:
-            low = entry & -entry
-            columns[low.bit_length() - 1] |= bit
-            entry ^= low
-    return columns
+    over ``range(2^n)``, the set of masks holding w.  Each set is read as one
+    binary numeral, its highest mask first."""
+    return [int("".join("01"[e >> w & 1] for e in reversed(table)), 2) for w in range(n)]
 
 
 def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
@@ -362,13 +357,9 @@ def _degree_pairs(degree: list, first_block: list[int]) -> tuple[int, tuple[int,
     n = size.bit_length() - 1
     full = size - 1
     nonempty = (1 << size) - 2
-    at_level = {}
-    for b in range(1, size):
-        at_level[degree[b]] = at_level.get(degree[b], 0) | 1 << b
-    above, higher = {}, 0
-    for level in sorted(at_level, reverse=True):
-        above[level] = higher
-        higher |= at_level[level]
+    # above[level] = {b ≠ 0 : d(b) > level}, one numeral per level; mask 0 is the trailing "0".
+    above = {level: int("".join("01"[d > level] for d in reversed(degree[1:])) + "0", 2)
+             for level in set(degree[1:])}
     has = _columns(range(size), n)
     # pre(a)[w] = {b : w ∈ first_block[a ∪ b]}.  It is built from pre(a'), a'
     # being a without its lowest world l: b ∪ a = (b ∪ {l}) ∪ a', so b is in
@@ -409,13 +400,7 @@ def enumerate_ranked_models(universe: Universe) -> Iterator[RankedModel]:
     The walk is lazy; each block proposition is built once, on first use.
     """
     n = len(universe.worlds)
-    props: dict[int, Proposition] = {}
-
-    def block(mask: int) -> Proposition:
-        prop = props.get(mask)
-        if prop is None:
-            prop = props[mask] = Proposition(universe, mask)
-        return prop
+    block = cache(partial(Proposition, universe))
 
     def place(i: int, masks: list[int], empty: int) -> Iterator[RankedModel]:
         # World i goes to some block; ``empty`` blocks are still empty before it.
@@ -695,17 +680,22 @@ def revision_table(model: RankedModel) -> dict[Proposition, Proposition]:
 def representation_check(table: Mapping[Proposition, Proposition]) -> RankedModel | None:
     """Find the ranked model defining a revision table, if one exists.
 
-    The table must be total over the non-empty propositions of one universe.
-    Peels the model's blocks (a system of spheres, Grove 1988), each the
-    table's content for the worlds not yet placed, then checks each entry of
-    the given table against it; a table no model reproduces yields None.
+    The table must map propositions to propositions, all over one universe,
+    and be total over its non-empty propositions.  Peels the model's blocks
+    (a system of spheres, Grove 1988), each the table's content for the
+    worlds not yet placed, then checks each entry of the given table against
+    it; a table no model reproduces yields None.
     """
     if not table:
         raise InputError("empty revision table")
+    if not all(isinstance(p, Proposition) and isinstance(t, Proposition) for p, t in table.items()):
+        raise InputError("table keys and values must be propositions")
     universe = next(iter(table)).universe
     full = universe.tautology().mask
     if any(p.universe != universe for p in table):
         raise InputError("table keys are over different universes")
+    if any(t.universe != universe for t in table.values()):
+        raise InputError("table values are over a different universe than its keys")
     if len(table) != full or universe.contradiction() in table:
         raise InputError("table must be total over all non-empty propositions")
     blocks, remaining = [], full

@@ -34,7 +34,9 @@ witness, or return ``None`` alike.
 ``agm_pairs`` and ``degree_pairs`` are the plain pair loops over int-mask
 tables that the library's pair phases replace with set algebra: one step per
 ordered pair of masks.  The library's phases must return the same case count
-and first failing pair for every table.
+and first failing pair for every table.  ``columns`` builds the per-world
+sets those phases start from one set bit at a time; the library reads each
+set as one binary numeral and must build the same sets.
 
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
@@ -49,7 +51,7 @@ posterior's masks.
 """
 
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from rankrev import (
     OCF,
@@ -182,6 +184,18 @@ def agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
             if expanded and t_ab & ~expanded:
                 return cases, ("B8", a, b)
     return cases, None
+
+
+def columns(table: Sequence[int], n: int) -> list[int]:
+    """For each world w, the set of masks m whose entry ``table[m]`` holds w."""
+    sets = [0] * n
+    for m, entry in enumerate(table):
+        bit = 1 << m
+        while entry:
+            low = entry & -entry
+            sets[low.bit_length() - 1] |= bit
+            entry ^= low
+    return sets
 
 
 def degree_pairs(degree: list, first_block: list[int]) -> tuple[int, tuple[int, int] | None]:
@@ -352,11 +366,15 @@ def constrained_successors(model: RankedModel,
 def representation_check(table: Mapping[Proposition, Proposition]) -> RankedModel | None:
     if not table:
         raise InputError("empty revision table")
+    if not all(isinstance(p, Proposition) and isinstance(t, Proposition) for p, t in table.items()):
+        raise InputError("table keys and values must be propositions")
     universe = next(iter(table)).universe
     full = universe.tautology().mask
     masks = {p.mask for p in table}
     if any(p.universe != universe for p in table):
         raise InputError("table keys are over different universes")
+    if any(t.universe != universe for t in table.values()):
+        raise InputError("table values are over a different universe than its keys")
     if masks != set(range(1, full + 1)):
         raise InputError("table must be total over all non-empty propositions")
     wanted = {p.mask: t for p, t in table.items()}

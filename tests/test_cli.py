@@ -350,6 +350,24 @@ def test_negative_max_strength_is_input_error_without_reversal_cases(capsys, tmp
     assert err == "error: max strength must be at least 0\n"
 
 
+@pytest.mark.parametrize("argv", [("check", "--model", FIXTURE, "--rule", "spohn:1",
+                                   "--axioms", "r", "--max-strength", "4097"),
+                                  ("check", "--model", FIXTURE, "--max-strength", "4097"),
+                                  ("counterexample", "--max-strength", "4097")],
+                         ids=["check-r", "check-agm", "counterexample"])
+def test_max_strength_over_the_world_bound_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-strength must be at most 4096, got 4097\n"
+
+
+def test_max_strength_at_the_world_bound_is_valid(capsys):
+    code, out, _ = run(capsys, "check", "--model", FIXTURE, "--max-strength", "4096")
+    assert code == 0
+    assert out.endswith("result: pass\n")
+
+
 @pytest.mark.parametrize("rule", ["spohn:\u0663", "spohn: 2"], ids=["arabic-indic", "space"])
 def test_spohn_strength_must_be_ascii_digits(capsys, rule):
     code, out, err = run(capsys, "revise", "--model", FIXTURE, "--state", "r1",

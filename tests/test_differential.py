@@ -24,7 +24,9 @@ form, with the references' walk over every bounded OCF.
 
 The set-algebra pair phases of ``check_agm`` and ``check_degree_conditions``
 are compared with the references' plain pair loops on the same int-mask
-tables, which are drawn from random models with a few entries replaced.
+tables, which are drawn from random models with a few entries replaced.  The
+per-world sets they start from are compared with the references' bit-by-bit
+loop, on every mask and on random tables.
 """
 
 import itertools
@@ -261,6 +263,15 @@ def _same_pair_phases(t, degree, first_block):
     return agm[1], degrees[1]
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_columns_match_bit_loop_up_to_ten_worlds(n):
+    size = 1 << n
+    rng = random.Random(n)
+    tables = [range(size)] + [[rng.randrange(size) for _ in range(size)] for _ in range(3)]
+    for table in tables:
+        assert verify._columns(table, n) == reference.columns(table, n)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 8), st.randoms(use_true_random=False))
 def test_pair_phases_match_pair_loops_up_to_eight_worlds(n, rng):
@@ -312,7 +323,7 @@ def test_successors_match_filter_up_to_six_worlds(case):
 @st.composite
 def corrupted_tables(draw):
     """A model's revision table with one entry replaced, possibly by a content
-    over a universe with other labels."""
+    over a universe with other labels, which both checks refuse."""
     model = draw(ranked_models(max_worlds=5))
     u = model.universe
     n = len(u.worlds)
@@ -327,7 +338,16 @@ def corrupted_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(corrupted_tables())
 def test_representation_matches_scan_on_corrupted_tables(table):
-    assert rr.representation_check(table) == reference.representation_check(table)
+    assert (_outcome(rr.representation_check, table)
+            == _outcome(reference.representation_check, table))
+
+
+def _outcome(check, table):
+    """The check's result, or the message of the input error it raises."""
+    try:
+        return check(table)
+    except rr.InputError as exc:
+        return f"InputError: {exc}"
 
 
 # ---------------------------------------------------------------------------

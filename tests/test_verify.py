@@ -549,6 +549,26 @@ def test_representation_partial_table_rejected(r2):
         rr.representation_check(mixed)
 
 
+NOT_PROPOSITIONS = "^table keys and values must be propositions$"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    (U4.prop("AB"), None, NOT_PROPOSITIONS),
+    (U4.prop("AB"), 5, NOT_PROPOSITIONS),
+    (5, U4.prop("AB"), NOT_PROPOSITIONS),
+    (U4.prop("AB"), plain_universe(4).prop_from_mask(U4.prop("AB").mask),
+     "^table values are over a different universe than its keys$"),
+], ids=["none-value", "int-value", "int-key", "foreign-value"])
+def test_representation_rejects_entries_that_are_not_propositions_of_one_universe(
+        r2, key, value, message):
+    # the entry for AB of a total table is replaced
+    table = rr.revision_table(r2)
+    del table[U4.prop("AB")]
+    table[key] = value
+    with pytest.raises(InputError, match=message):
+        rr.representation_check(table)
+
+
 # ---------------------------------------------------------------------------
 # witness soundness: every failing checker's witness replays to a violation
 
