@@ -14,11 +14,12 @@ from typing import Callable
 
 from .errors import InputError, ParseError
 from .modelfile import MAX_MODEL_WORLDS, ModelFile, load_model, read_text, resolve_proposition
-from .ranking import RankedModel, rpm_from_ocf
+from .ranking import RankedModel, _format_blocks, rpm_from_ocf
 from .revision import (
     Attitude,
     EpistemicInput,
     RevisionRule,
+    _posterior,
     apply_rule,
     revise,
     rule_by_name,
@@ -190,11 +191,16 @@ def _cmd_iterate(args) -> int:
     state = _ranked_state(mf, args.state)
     rule = rule_by_name(args.rule)
     steps = _parse_script(read_text(args.script, "script"), mf, rule)
-    print(f"state {args.state} = {state}")
+    # The script's inputs are over this universe and neither ⊥ nor ⊤, so the
+    # rule runs on block masks with only its output checked, as in the checkers.
+    universe = mf.universe
+    blocks = tuple(block.mask for block in state.blocks)
+    lines = [f"state {args.state} = {state}"]
     for i, step in enumerate(steps, start=1):
-        state = apply_rule(rule, state, step)
-        print(f"step {i}: {step} -> {state}")
-    print(f"final content = {state.blocks[0]}")
+        blocks = _posterior(rule, blocks, step)
+        lines.append(f"step {i}: {step} -> {_format_blocks(universe, blocks)}")
+    lines.append(f"final content = {universe.prop_from_mask(blocks[0])}")
+    print("\n".join(lines))
     return 0
 
 

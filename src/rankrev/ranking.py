@@ -95,7 +95,7 @@ class RankedModel(_Value):
         return min(ranks[i] for i in prop.indices())
 
     def __str__(self) -> str:
-        return " ".join("[" + " ".join(b.labels()) + "]" for b in self.blocks)
+        return _format_blocks(self.universe, [block.mask for block in self.blocks])
 
 
 class OCF(_Value):
@@ -150,6 +150,12 @@ def _require_partition(masks: Sequence[int], full: int) -> Sequence[int]:
     if union != full:
         raise InputError("ranked model blocks must cover the universe")
     return masks
+
+
+def _format_blocks(universe: Universe, masks: Iterable[int]) -> str:
+    """A ranking's text from its block masks: each block's labels in brackets."""
+    text = universe._text
+    return " ".join(f"[{text(m)}]" for m in masks)
 
 
 def _from_masks(universe: Universe, masks) -> RankedModel:

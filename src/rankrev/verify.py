@@ -167,10 +167,19 @@ def _agm_fail(axiom: str, model: RankedModel, a_mask: int, b_mask: int | None,
 
 
 def _columns(table: Sequence[int], n: int) -> list[int]:
-    """For each world w, the set of masks m whose entry ``table[m]`` holds w;
-    over ``range(2^n)``, the set of masks holding w.  Each set is read as one
-    binary numeral, its highest mask first."""
+    """For each world w, the set of masks m whose entry ``table[m]`` holds w.
+    Each set is read as one binary numeral, its highest mask first."""
     return [int("".join("01"[e >> w & 1] for e in reversed(table)), 2) for w in range(n)]
+
+
+def _membership(n: int) -> list[int]:
+    """For each world w, the set of masks over n worlds that hold w:
+    ``_columns(range(2^n), n)`` in closed form.  In mask order, w is out of
+    2^w masks and then in 2^w, so the set repeats one run of 2^w ones every
+    2^(w+1) masks, a product of that run and a repunit."""
+    size = 1 << n
+    return [(((1 << (1 << w)) - 1) << (1 << w)) * (((1 << size) - 1) // ((1 << (2 << w)) - 1))
+            for w in range(n)]
 
 
 def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
@@ -187,7 +196,7 @@ def _agm_pairs(t: list[int]) -> tuple[int, tuple[str, int, int] | None]:
     """
     size = len(t)
     n = size.bit_length() - 1
-    has = _columns(range(size), n)  # per world w: {c : w ∈ c}
+    has = _membership(n)  # per world w: {c : w ∈ c}
     revised = _columns(t, n)  # per world w: {c : w ∈ t[c]}
     dropped = [h & ~r for h, r in zip(has, revised)]  # per world w: {c : w ∈ c, w ∉ t[c]}
     # sub[k] is the set of submasks of the last mask of k worlds visited.  The
@@ -360,7 +369,7 @@ def _degree_pairs(degree: list, first_block: list[int]) -> tuple[int, tuple[int,
     # above[level] = {b ≠ 0 : d(b) > level}, one numeral per level; mask 0 is the trailing "0".
     above = {level: int("".join("01"[d > level] for d in reversed(degree[1:])) + "0", 2)
              for level in set(degree[1:])}
-    has = _columns(range(size), n)
+    has = _membership(n)
     # pre(a)[w] = {b : w ∈ first_block[a ∪ b]}.  It is built from pre(a'), a'
     # being a without its lowest world l: b ∪ a = (b ∪ {l}) ∪ a', so b is in
     # it when b holds l and is in pre(a')[w], or b ∪ {l} is.  Every mask

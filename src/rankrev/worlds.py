@@ -77,7 +77,7 @@ class Universe(_Value):
     an identical valuation row.
     """
 
-    __slots__ = ("worlds", "atoms", "valuations", "_atom_masks")
+    __slots__ = ("worlds", "atoms", "valuations", "_atom_masks", "_hash", "_texts")
 
     def __init__(self, worlds: Iterable[str], atoms: Iterable[str] = (),
                  valuations: Iterable[Iterable[bool]] | None = None):
@@ -100,6 +100,12 @@ class Universe(_Value):
         _set(self, "_atom_masks", None if valuations is None else {
             atom: sum(1 << i for i, true in enumerate(column) if true)
             for atom, column in zip(atoms, zip(*valuations))})
+        # Every proposition key hashes its universe, so the hash is taken once.
+        _set(self, "_hash", hash((worlds, atoms, valuations)))
+        _set(self, "_texts", {})
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def from_atoms(cls, atoms: tuple[str, ...] | list[str]) -> Universe:
@@ -121,6 +127,14 @@ class Universe(_Value):
             for row in rows
         )
         return cls(worlds=labels, atoms=atoms, valuations=rows)
+
+    def _text(self, mask: int) -> str:
+        """The labels of the worlds in ``mask``, space-separated; rendered once per mask."""
+        try:
+            return self._texts[mask]
+        except KeyError:
+            text = self._texts[mask] = " ".join(self.worlds[i] for i in _indices(mask))
+            return text
 
     def atom_masks(self) -> dict[str, int]:
         """Each atom's world mask, the worlds where it is true; shared, so not to be changed."""
@@ -162,6 +176,15 @@ def check_world_bound(worlds: int, max_worlds: int):
         raise InputError(f"universe has {worlds} worlds, over the bound of {max_worlds}")
 
 
+def _indices(mask: int) -> tuple[int, ...]:
+    """The world indices in a mask, ascending: one step per set bit."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
 def _require_same_universe(a, b):
     if a.universe != b.universe:
         raise InputError("operands are over different universes")
@@ -195,12 +218,7 @@ class Proposition(_Value):
         return self.mask == (1 << len(self.universe.worlds)) - 1
 
     def indices(self) -> tuple[int, ...]:
-        """The world indices in the mask, ascending: one step per set bit."""
-        out, m = [], self.mask
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return tuple(out)
+        return _indices(self.mask)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.universe.worlds[i] for i in self.indices())
@@ -226,5 +244,5 @@ class Proposition(_Value):
     __or__ = union
 
     def __str__(self) -> str:
-        return "{" + " ".join(self.labels()) + "}"
+        return "{" + self.universe._text(self.mask) + "}"
 

@@ -38,6 +38,12 @@ and first failing pair for every table.  ``columns`` builds the per-world
 sets those phases start from one set bit at a time; the library reads each
 set as one binary numeral and must build the same sets.
 
+``iterate_transcript`` is ``rankrev iterate``'s stdout built the slow way:
+each step goes through ``apply_rule`` to a ``RankedModel``, and each set is
+written by joining ``labels()``, one set bit at a time.  The command, which
+runs its rule on block masks and renders each mask once per universe, must
+print the same bytes.
+
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
 
@@ -460,3 +466,24 @@ def spohn_rule(alpha: int) -> RevisionRule:
         return rpm_from_ocf(posterior)
 
     return object_rule(f"spohn:{alpha}", conditionalize, strength_based=True)
+
+
+def prop_text(prop: Proposition) -> str:
+    return "{" + " ".join(prop.labels()) + "}"
+
+
+def ranking_text(model: RankedModel) -> str:
+    return " ".join("[" + " ".join(block.labels()) + "]" for block in model.blocks)
+
+
+def iterate_transcript(rule: RevisionRule, name: str, model: RankedModel,
+                       steps: Sequence[EpistemicInput]) -> str:
+    lines = [f"state {name} = {ranking_text(model)}"]
+    for i, step in enumerate(steps, start=1):
+        model = apply_rule(rule, model, step)
+        text = f"{step.attitude.value} {prop_text(step.proposition)}"
+        if step.strength is not None:
+            text += f" strength {step.strength}"
+        lines.append(f"step {i}: {text} -> {ranking_text(model)}")
+    lines.append(f"final content = {prop_text(model.blocks[0])}")
+    return "\n".join(lines) + "\n"

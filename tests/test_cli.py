@@ -17,6 +17,12 @@ GOLDEN = Path(__file__).parent / "golden" / "counterexample.txt"
 # ``counterexample --worlds N`` output; the default (4 worlds) keeps the plain name.
 GOLDENS = {4: GOLDEN, 5: GOLDEN.with_name("counterexample-5.txt"),
            6: GOLDEN.with_name("counterexample-6.txt")}
+FOUR_ATOM_FILE = str(Path(__file__).parent / "data" / "four-atoms.bel")
+SCRIPT = Path(__file__).parent / "data" / "iterate-script.txt"
+STRENGTH_SCRIPT = Path(__file__).parent / "data" / "iterate-script-strength.txt"
+# ``iterate --rule R`` on state s of the 4-atom file: golden name, rule, script.
+ITERATE_GOLDENS = [("lex", "lex", SCRIPT), ("natural", "natural", SCRIPT),
+                   ("flip", "flip", SCRIPT), ("spohn-2", "spohn:2", STRENGTH_SCRIPT)]
 
 
 def run(capsys, *argv):
@@ -250,6 +256,44 @@ def test_iterate(capsys, tmp_path):
     assert "step 1: believe {AB Ab} strength 2 ->" in out
     assert "step 2: disbelieve {AB Ab} ->" in out
     assert out.strip().splitlines()[-1].startswith("final content = ")
+
+
+@pytest.mark.parametrize("golden, rule, script", ITERATE_GOLDENS,
+                         ids=[g for g, _, _ in ITERATE_GOLDENS])
+def test_iterate_golden_bytes(capsys, golden, rule, script):
+    expected = (GOLDEN.parent / f"iterate-{golden}.txt").read_text(encoding="utf-8")
+    assert run(capsys, "iterate", "--model", FOUR_ATOM_FILE, "--state", "s", "--rule", rule,
+               str(script)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("rule", ["lex", "natural", "flip", "spohn:2"])
+def test_iterate_builds_no_ranked_model_per_step(capsys, monkeypatch, tmp_path, rule):
+    """After the file loads, a 256-step run works on block masks only."""
+    directives = [line for line in STRENGTH_SCRIPT.read_text(encoding="utf-8").splitlines()
+                  if line and not line.startswith("#")]
+    if rule != "spohn:2":
+        directives = [line.split(" strength")[0] for line in directives]
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(directives[i % len(directives)] for i in range(256)) + "\n",
+                    encoding="utf-8")
+    built = []
+    init, load = rankrev.RankedModel.__init__, rankrev.cli.load_model
+
+    def counting_init(self, blocks):
+        built.append(blocks)
+        init(self, blocks)
+
+    def loading(*args):
+        model_file = load(*args)
+        built.clear()
+        return model_file
+
+    monkeypatch.setattr(rankrev.RankedModel, "__init__", counting_init)
+    monkeypatch.setattr(rankrev.cli, "load_model", loading)
+    code, out, err = run(capsys, "iterate", "--model", FOUR_ATOM_FILE, "--state", "s",
+                         "--rule", rule, str(path))
+    assert (code, err) == (0, "") and len(out.splitlines()) == 258
+    assert built == []
 
 
 def test_iterate_bad_script_line(capsys, tmp_path):

@@ -26,11 +26,21 @@ The set-algebra pair phases of ``check_agm`` and ``check_degree_conditions``
 are compared with the references' plain pair loops on the same int-mask
 tables, which are drawn from random models with a few entries replaced.  The
 per-world sets they start from are compared with the references' bit-by-bit
-loop, on every mask and on random tables.
+loop, on every mask and on random tables; the sets of masks holding each
+world, which the library builds in closed form, with that loop over every
+mask.
+
+``rankrev iterate``, which runs its rule on block masks and renders each
+mask once per universe, is compared with the references' transcript through
+``apply_rule`` and ``labels()``, byte for byte.
 """
 
+import contextlib
+import io
 import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +49,7 @@ from hypothesis import strategies as st
 import rankrev as rr
 import rankrev.verify as verify
 import reference_checkers as reference
+from rankrev.cli import main
 
 from conftest import (
     ALL_MODELS_4,
@@ -272,6 +283,11 @@ def test_columns_match_bit_loop_up_to_ten_worlds(n):
         assert verify._columns(table, n) == reference.columns(table, n)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_membership_sets_match_bit_loop_up_to_twelve_worlds(n):
+    assert verify._membership(n) == reference.columns(range(1 << n), n)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 8), st.randoms(use_true_random=False))
 def test_pair_phases_match_pair_loops_up_to_eight_worlds(n, rng):
@@ -495,3 +511,73 @@ def test_irreversibility_search_matches_reference(rule, n, max_strength):
     witness = rr.find_irreversibility(rule, u, max_strength)
     assert witness == reference.find_irreversibility(rule, u, max_strength)
     assert (witness is None) == (rule is unchanged_rule)
+
+
+# ---------------------------------------------------------------------------
+# iterate on block masks against apply_rule and labels() per step
+
+
+ITERATE_RULES = ("lex", "natural", "flip", "spohn:1", "spohn:2", "spohn:3")
+
+
+@st.composite
+def iterate_runs(draw):
+    """(model file text, rule name, script text, prior, inputs) over 2 to 4 atoms.
+
+    Script lines name a declared proposition or write an expression over one
+    or two atoms; spohn lines may carry a strength."""
+    atoms = "ABCD"[:draw(st.integers(2, 4))]
+    u = rr.Universe.from_atoms(tuple(atoms))
+    n = len(u.worlds)
+    full = (1 << n) - 1
+    model = rr.RankedModel.from_ranks(
+        u, collapse(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
+    props = draw(st.lists(st.integers(1, full - 1), min_size=1, max_size=3))
+    rule = draw(st.sampled_from(ITERATE_RULES))
+    atom = u.atom_masks()
+    lines, steps = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        attitude = draw(st.sampled_from(list(rr.Attitude)))
+        kind = draw(st.sampled_from(("prop", "literal", "pair")))
+        if kind == "prop":
+            i = draw(st.integers(0, len(props) - 1))
+            text, mask = f"p{i}", props[i]
+        else:
+            a, b = draw(st.permutations(atoms))[:2]
+            neg_a, neg_b = draw(st.booleans()), draw(st.booleans())
+            mask_a = atom[a] ^ (full if neg_a else 0)
+            mask_b = atom[b] ^ (full if neg_b else 0)
+            text = "~" * neg_a + a
+            mask = mask_a
+            if kind == "pair":
+                op = draw(st.sampled_from("&|"))
+                text += f" {op} " + "~" * neg_b + b
+                mask = mask_a & mask_b if op == "&" else mask_a | mask_b
+        strength = None
+        if rule.startswith("spohn") and attitude is not rr.Attitude.SUSPEND:
+            strength = draw(st.none() | st.integers(1, 3))
+        lines.append(f"{attitude.value} {text}" + (f" strength {strength}" if strength else ""))
+        steps.append(rr.EpistemicInput(u.prop_from_mask(mask), attitude, strength))
+    model_text = "\n".join(
+        [f"atoms {' '.join(atoms)}", "worlds auto"]
+        + [f"prop p{i} = {{ {' '.join(u.prop_from_mask(m).labels())} }}"
+           for i, m in enumerate(props)]
+        + [f"rpm s = {reference.ranking_text(model)}"]) + "\n"
+    return model_text, rule, "\n".join(lines) + "\n", model, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(iterate_runs())
+def test_iterate_matches_transcript_through_apply_rule(run):
+    model_text, rule, script, model, steps = run
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, script_path = Path(tmp) / "model.bel", Path(tmp) / "script.txt"
+        model_path.write_text(model_text, encoding="utf-8")
+        script_path.write_text(script, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["iterate", "--model", str(model_path), "--state", "s",
+                         "--rule", rule, str(script_path)])
+    assert code == 0
+    assert out.getvalue() == reference.iterate_transcript(rr.rule_by_name(rule), "s",
+                                                          model, steps)

@@ -231,3 +231,26 @@ def test_rank_vector_is_computed_once_and_is_not_a_field():
     assert model.rank_of(X) == 1 and model.disbelief_degree(U2.tautology()) == 0
     assert model == model_yx() and hash(model) == hash(model_yx())
     assert repr(model) == M_YX_REPR
+
+
+def test_equal_universes_built_apart_hash_equal():
+    first = rr.Universe.from_atoms(("A", "B", "C"))
+    second = rr.Universe(list(first.worlds), list(first.atoms), [list(r) for r in first.valuations])
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert hash(first) == hash(first._key(first))
+    assert hash(U2) == hash(rr.Universe((X, Y))) != hash(rr.Universe((Y, X)))
+
+
+def test_universe_hash_survives_a_pickle_round_trip():
+    u = rr.Universe.from_atoms(("A", "B"))
+    p = u.prop("AB", "ab")
+    str(p)  # fills the universe's rendering cache, which pickling leaves out
+    assert pickle.dumps(u) == pickle.dumps(rr.Universe.from_atoms(("A", "B")))
+    copy_u, copy_p = pickle.loads(pickle.dumps(u)), pickle.loads(pickle.dumps(p))
+    assert copy_u == u and hash(copy_u) == hash(u)
+    assert copy_p == p and hash(copy_p) == hash(p)
+
+
+def test_proposition_hash_is_its_universe_and_mask():
+    for p in (P_X, P_Y, U2.tautology(), rr.Universe.from_atoms(("A",)).prop("A")):
+        assert hash(p) == hash((p.universe, p.mask))

@@ -25,6 +25,34 @@ def test_atom_masks_are_valuation_columns():
         rr.Universe(("w1", "w2")).atom_masks()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rendering_is_the_labels_joined_on_every_call(n):
+    universes = [rr.Universe(tuple(f"w{i}" for i in range(n))), rr.Universe(tuple("hgfedcba"[:n]))]
+    if n in (2, 4, 8):
+        universes.append(rr.Universe.from_atoms("ABC"[:n.bit_length() - 1]))
+    for u in universes:
+        for mask in range(1 << n):
+            p = u.prop_from_mask(mask)
+            expected = "{" + " ".join(p.labels()) + "}"
+            assert str(p) == expected
+            assert str(p) == expected
+            assert str(u.prop_from_mask(mask)) == expected
+
+
+def test_universes_with_other_labels_never_share_rendered_text():
+    plain = rr.Universe(("w0", "w1", "w2", "w3"))
+    auto = rr.Universe.from_atoms(("A", "B"))
+    assert len(plain.worlds) == len(auto.worlds) and plain != auto
+    for mask in range(1, 16):
+        first, second = plain.prop_from_mask(mask), auto.prop_from_mask(mask)
+        assert str(first) != str(second)
+        assert str(second) == "{" + " ".join(second.labels()) + "}"
+        assert str(first) == "{" + " ".join(first.labels()) + "}"
+    model = rr.RankedModel.from_ranks(plain, (1, 0, 1, 2))
+    assert str(model) == "[w1] [w0 w2] [w3]"
+    assert str(rr.RankedModel.from_ranks(auto, (1, 0, 1, 2))) == "[Ab] [AB aB] [ab]"
+
+
 def test_indices_are_the_set_bits_ascending():
     u = rr.Universe(tuple(f"w{i}" for i in range(9)))
     for mask in range(1 << 9):
