@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .worlds import Proposition, Universe, _require_same_universe, _set, _Value
+from .worlds import Proposition, Universe, _indices, _require_same_universe, _set, _Value
 
 
 class RankedModel(_Value):
@@ -63,11 +63,8 @@ class RankedModel(_Value):
             return self._ranks
         except AttributeError:
             pass
-        out = [0] * len(self.universe.worlds)
-        for r, block in enumerate(self.blocks):
-            for i in block.indices():
-                out[i] = r
-        _set(self, "_ranks", tuple(out))
+        masks = (block.mask for block in self.blocks)
+        _set(self, "_ranks", _ranks(masks, len(self.universe.worlds)))
         return self._ranks
 
     def rank_of(self, world: str) -> int:
@@ -156,6 +153,15 @@ def _format_blocks(universe: Universe, masks: Iterable[int]) -> str:
     """A ranking's text from its block masks: each block's labels in brackets."""
     text = universe._text
     return " ".join(f"[{text(m)}]" for m in masks)
+
+
+def _ranks(masks: Iterable[int], n: int) -> tuple[int, ...]:
+    """The rank per world index, over n worlds, of the ranking with these block masks."""
+    out = [0] * n
+    for r, m in enumerate(masks):
+        for i in _indices(m):
+            out[i] = r
+    return tuple(out)
 
 
 def _from_masks(universe: Universe, masks) -> RankedModel:

@@ -54,6 +54,10 @@ class EpistemicInput(_Value):
     __slots__ = ("proposition", "attitude", "strength")
 
     def __init__(self, proposition: Proposition, attitude: Attitude, strength: int | None = None):
+        if not isinstance(proposition, Proposition):
+            raise InputError(f"proposition must be a Proposition, got {proposition!r}")
+        if not isinstance(attitude, Attitude):
+            raise InputError(f"attitude must be an Attitude, got {attitude!r}")
         if strength is not None and type(strength) is not int:
             raise InputError(f"strength must be an int, got {strength!r}")
         if strength is not None and attitude is Attitude.SUSPEND:

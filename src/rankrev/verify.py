@@ -42,8 +42,12 @@ plain pair loop over 4^n cases.
 The iteration checker needs no table: for B within one side of A, the prior
 and the rule's output revise every B alike exactly when they order that
 side's worlds alike, so each A compares two chains of block masks, and
-``revise`` only words a witness.  It, ``check_reversibility`` and the search
-``find_irreversibility`` apply the rule on block masks, building no posterior.
+``revise`` only words a witness.  Every checker that runs a rule (the
+iteration checker, ``check_order_preservation``, ``check_reversibility``
+and the search ``find_irreversibility``) applies it through one checked
+step on block masks, ``revision._posterior``, and builds no posterior
+ranked model; order preservation reads the posterior's rank vector off the
+output masks.  ``apply_rule`` is left to callers that want a ranked model.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from functools import cache, partial
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError
-from .ranking import OCF, RankedModel, _from_masks, ocf_from_rpm, rpm_from_ocf
+from .ranking import OCF, RankedModel, _from_masks, _ranks, ocf_from_rpm, rpm_from_ocf
 from .revision import (
     Attitude,
     EpistemicInput,
@@ -60,7 +64,7 @@ from .revision import (
     _posterior,
     _require_revisable,
     _side_chain,
-    apply_rule,
+    apply_rule,  # unused here, but perfbench/tracing.py patches (verify, "apply_rule")
     required_content,
     reverse_strength,
     revise,
@@ -102,6 +106,8 @@ class AxiomReport(_Value):
 
 
 def _check_strength_bound(max_strength: int):
+    if type(max_strength) is not int:
+        raise InputError(f"max strength must be an int, got {max_strength!r}")
     if max_strength < 0:
         raise InputError("max strength must be at least 0")
 
@@ -245,7 +251,7 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
     ``cases`` are those of that walk over every A in turn.  The public
     ``revise`` only words the witness.
     """
-    axiom = axiom.upper()
+    axiom = axiom.upper() if isinstance(axiom, str) else axiom
     if axiom not in ("B9", "B10"):
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
     u = model.universe
@@ -285,11 +291,15 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
     The iteration axioms force this for any rule: comparing two same-side
     worlds before and after the change must give the same verdict, ties
     included.  Each same-side pair i < j compares the sign of its rank
-    difference in the prior's and the posterior's rank vectors.
+    difference in the prior's and the posterior's rank vectors.  The rule
+    runs once on block masks (``_posterior``), and the posterior's rank
+    vector is read off its masks; no ranked model is built.
     """
-    revised = apply_rule(rule, model, EpistemicInput(prop, attitude))
-    before, after = model.ranks(), revised.ranks()
+    epistemic_input = EpistemicInput(prop, attitude)
+    _require_revisable(model, prop)
+    blocks = _posterior(rule, tuple(block.mask for block in model.blocks), epistemic_input)
     worlds, mask = model.universe.worlds, prop.mask
+    before, after = model.ranks(), _ranks(blocks, len(worlds))
     cases = 0
     for i in range(len(worlds)):
         for j in range(i + 1, len(worlds)):
@@ -304,7 +314,7 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
                           f"{w1} vs {w2} was {_ORDER_WORDS[was]}, now {_ORDER_WORDS[now]}")
                 return AxiomReport("order", False, cases,
                                    Witness(detail, model=model, proposition=prop,
-                                           epistemic_input=EpistemicInput(prop, attitude),
+                                           epistemic_input=epistemic_input,
                                            world_pair=(w1, w2)))
     return AxiomReport("order", True, cases)
 
@@ -581,6 +591,8 @@ def counterexample_fixture(sizes: tuple[int, int, int, int] = (1, 1, 1, 1)) -> C
     the four groups being the four single worlds); other sizes use plain
     labels ``w<group><letter>`` without valuations.
     """
+    if any(type(s) is not int for s in sizes):
+        raise InputError(f"fixture group sizes must be ints, got {sizes!r}")
     if len(sizes) != 4 or any(s < 1 for s in sizes):
         raise InputError("fixture needs four non-empty groups")
     if sizes == (1, 1, 1, 1):

@@ -98,7 +98,11 @@ CASES = {
         ((lambda: rr.EpistemicInput(P_X, Attitude.BELIEVE, 2.5),
           "strength must be an int, got 2.5"),
          (lambda: rr.EpistemicInput(P_X, Attitude.SUSPEND, 1), "suspend takes no strength"),
-         (lambda: rr.EpistemicInput(P_X, Attitude.DISBELIEVE, 0), "strength must be at least 1"))),
+         (lambda: rr.EpistemicInput(P_X, Attitude.DISBELIEVE, 0), "strength must be at least 1"),
+         (lambda: rr.EpistemicInput(P_X, "disbelieve"),
+          "attitude must be an Attitude, got 'disbelieve'"),
+         (lambda: rr.EpistemicInput(1, Attitude.BELIEVE),
+          "proposition must be a Proposition, got 1"))),
     "RevisionRule": Case(
         lambda: rr.RevisionRule("max", max),
         lambda: rr.RevisionRule(name="max", transform=max, strength_based=False),

@@ -192,6 +192,8 @@ def test_iteration_axioms_on_fixtures(rule, axiom, r1, r2, r3):
 def test_iteration_axiom_rejects_unknown_name(r1):
     with pytest.raises(InputError):
         rr.check_iteration_axiom(rr.lexicographic_rule, "B11", r1)
+    with pytest.raises(InputError, match=r"^unknown iteration axiom 9 \(expected B9 or B10\)$"):
+        rr.check_iteration_axiom(rr.lexicographic_rule, 9, r1)
 
 
 def test_flip_fails_b10_with_replayable_witness(r2):
@@ -244,6 +246,30 @@ def test_iteration_and_reversal_checks_build_no_ranked_model(monkeypatch, order)
             epistemic_input = EpistemicInput(model.universe.prop_from_mask(mask), attitude)
             verdicts.add(rr.check_reversibility(rule, model, epistemic_input).passed)
     assert verdicts == {True, False}
+    assert built == []
+
+
+def test_order_preservation_builds_no_ranked_model(monkeypatch):
+    # One rule call on block masks per check, for every non-degenerate A and
+    # attitude at 8 worlds; the posterior's rank vector is read off its masks.
+    n = 8
+    model = _seeded_model(n, 4, 8)
+    rule, calls = _counting(rr.lexicographic_rule)
+    built = []
+    init = rr.RankedModel.__init__
+
+    def counting_init(self, blocks):
+        built.append(blocks)
+        init(self, blocks)
+
+    monkeypatch.setattr(rr.RankedModel, "__init__", counting_init)
+    for mask in range(1, 2 ** n - 1):
+        prop = model.universe.prop_from_mask(mask)
+        for attitude in Attitude:
+            calls.clear()
+            report = rr.check_order_preservation(rule, model, prop, attitude)
+            assert report.passed
+            assert calls == [EpistemicInput(prop, attitude)]
     assert built == []
 
 
@@ -354,6 +380,9 @@ def test_negative_max_strength_is_input_error(r1, k1):
     for call in calls:
         with pytest.raises(InputError, match="max strength must be at least 0"):
             call(-1)
+        for bound in (2.5, True):
+            with pytest.raises(InputError, match=f"^max strength must be an int, got {bound}$"):
+                call(bound)
     # zero is a valid bound: only the zero strength (suspension) is tried
     report = rr.check_reversibility(rr.spohn_rule(1), r1, believe_a, 0)
     assert report.cases == 1
@@ -497,6 +526,9 @@ def test_counterexample_never_enumerates(monkeypatch, worlds):
 def test_counterexample_fixture_validation():
     with pytest.raises(InputError):
         rr.counterexample_fixture((0, 1, 1, 1))
+    for sizes in ((1.5, 1, 1, 1), (True, 1, 1, 1), (1, 1, 1, "2")):
+        with pytest.raises(InputError, match="^fixture group sizes must be ints"):
+            rr.counterexample_fixture(sizes)
 
 
 # ---------------------------------------------------------------------------
