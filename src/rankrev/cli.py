@@ -194,7 +194,7 @@ def _cmd_iterate(args) -> int:
     # The script's inputs are over this universe and neither ⊥ nor ⊤, so the
     # rule runs on block masks with only its output checked, as in the checkers.
     universe = mf.universe
-    blocks = tuple(block.mask for block in state.blocks)
+    blocks = state._masks
     lines = [f"state {args.state} = {state}"]
     for i, step in enumerate(steps, start=1):
         blocks = _posterior(rule, blocks, step)

@@ -24,7 +24,7 @@ from .worlds import Proposition, Universe, _indices, _require_same_universe, _se
 class RankedModel(_Value):
     """An ordered partition of the universe; earlier blocks are more believable."""
 
-    __slots__ = ("blocks", "_ranks")
+    __slots__ = ("blocks", "_masks", "_ranks")
 
     def __init__(self, blocks: Iterable[Proposition]):
         blocks = tuple(blocks)
@@ -36,7 +36,7 @@ class RankedModel(_Value):
             if block.universe is not u and block.universe != u:
                 raise InputError("blocks are over different universes")
             masks.append(block.mask)
-        _require_partition(masks, (1 << len(u.worlds)) - 1)
+        _set(self, "_masks", tuple(_require_partition(masks, (1 << len(u.worlds)) - 1)))
         _set(self, "blocks", blocks)
 
     @classmethod
@@ -63,8 +63,7 @@ class RankedModel(_Value):
             return self._ranks
         except AttributeError:
             pass
-        masks = (block.mask for block in self.blocks)
-        _set(self, "_ranks", _ranks(masks, len(self.universe.worlds)))
+        _set(self, "_ranks", _ranks(self._masks, len(self.universe.worlds)))
         return self._ranks
 
     def rank_of(self, world: str) -> int:
@@ -73,8 +72,8 @@ class RankedModel(_Value):
     def first_consistent_block(self, prop: Proposition) -> int | None:
         """Index of the first block meeting ``prop``; None iff ``prop`` is empty."""
         _require_same_universe(self.blocks[0], prop)
-        for i, block in enumerate(self.blocks):
-            if block.mask & prop.mask:
+        for i, block in enumerate(self._masks):
+            if block & prop.mask:
                 return i
         return None
 
@@ -92,7 +91,7 @@ class RankedModel(_Value):
         return min(ranks[i] for i in prop.indices())
 
     def __str__(self) -> str:
-        return _format_blocks(self.universe, [block.mask for block in self.blocks])
+        return _format_blocks(self.universe, self._masks)
 
 
 class OCF(_Value):

@@ -87,10 +87,8 @@ def revise(model: RankedModel, prop: Proposition) -> Proposition:
     The new belief set is every proposition the returned content entails.
     The content is empty exactly when ``prop`` is the contradiction.
     """
-    i = model.first_consistent_block(prop)
-    if i is None:
-        return model.universe.contradiction()
-    return model.blocks[i].intersect(prop)
+    _require_same_universe(model, prop)
+    return Proposition(model.universe, _revised(model._masks, prop.mask))
 
 
 def suspend_content(model: RankedModel, prop: Proposition) -> Proposition:
@@ -130,8 +128,7 @@ def apply_rule(rule: RevisionRule, model: RankedModel,
                epistemic_input: EpistemicInput) -> RankedModel:
     """Validated rule application: a revisable input, an output partitioning the universe."""
     _require_revisable(model, epistemic_input.proposition)
-    blocks = tuple(block.mask for block in model.blocks)
-    return _from_masks(model.universe, _posterior(rule, blocks, epistemic_input))
+    return _from_masks(model.universe, _posterior(rule, model._masks, epistemic_input))
 
 
 def _posterior(rule: RevisionRule, blocks: tuple[int, ...],
@@ -153,6 +150,14 @@ def _side_chain(blocks: Iterable[int], side: int) -> list[int]:
     return [m for m in (block & side for block in blocks) if m]
 
 
+def _revised(blocks: Iterable[int], mask: int) -> int:
+    """Revision on block masks: the first block meeting ``mask``, cut to it; 0 if none does."""
+    for block in blocks:
+        if block & mask:
+            return block & mask
+    return 0
+
+
 def _target_side(epistemic_input: EpistemicInput) -> int:
     """The mask of the side an input puts first: the complement for disbelief."""
     mask = epistemic_input.proposition.mask
@@ -170,9 +175,9 @@ def _lexicographic(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> 
 
 def _natural(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
     side = _target_side(epistemic_input)
-    front = _side_chain(blocks, side)[0]  # the required content, as in ``required_content``
+    front = _revised(blocks, side)  # the required content, as in ``required_content``
     if epistemic_input.attitude is Attitude.SUSPEND:
-        front |= _side_chain(blocks, ~side)[0]
+        front |= _revised(blocks, ~side)
     return [front] + _side_chain(blocks, ~front)
 
 
@@ -195,6 +200,8 @@ def spohn_conditionalize(ocf: OCF, prop: Proposition, alpha: int) -> OCF:
     a negative strength means believing the complement.  The result is
     normalized by construction and assigns the non-target side degree |alpha|.
     """
+    if type(alpha) is not int:
+        raise InputError(f"strength must be an int, got {alpha!r}")
     _require_revisable(ocf, prop)
     target = prop if alpha >= 0 else prop.complement()
     shift_in = ocf.degree(target)

@@ -41,13 +41,13 @@ plain pair loop over 4^n cases.
 
 The iteration checker needs no table: for B within one side of A, the prior
 and the rule's output revise every B alike exactly when they order that
-side's worlds alike, so each A compares two chains of block masks, and
-``revise`` only words a witness.  Every checker that runs a rule (the
-iteration checker, ``check_order_preservation``, ``check_reversibility``
-and the search ``find_irreversibility``) applies it through one checked
-step on block masks, ``revision._posterior``, and builds no posterior
-ranked model; order preservation reads the posterior's rank vector off the
-output masks.  ``apply_rule`` is left to callers that want a ranked model.
+side's worlds alike, so each A compares two chains of block masks.  The
+checkers read a model's block masks as it kept them when it validated its
+blocks; those that run a rule do so through one checked step on them,
+``revision._posterior``, and build no posterior ranked model.  Revision on
+block masks has one definition, ``revision._revised``, behind ``revise``,
+the iteration checker's witness walk and ``representation_check``, which
+compares the table on masks and builds only the model it returns.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from .revision import (
     RevisionRule,
     _posterior,
     _require_revisable,
+    _revised,
     _side_chain,
     apply_rule,  # unused here, but perfbench/tracing.py patches (verify, "apply_rule")
     required_content,
@@ -125,7 +126,7 @@ def check_agm(model: RankedModel) -> AxiomReport:
     only for a witness.
     """
     u = model.universe
-    prior = model.blocks[0].mask
+    prior = model._masks[0]
     size = 1 << len(u.worlds)
     t = []
     cases = 0
@@ -256,7 +257,7 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
     u = model.universe
     full = u.tautology().mask
-    prior = tuple(block.mask for block in model.blocks)
+    prior = model._masks
     cases = 0
     for a_mask in range(1, full):
         believe_a = EpistemicInput(u.prop_from_mask(a_mask), Attitude.BELIEVE)
@@ -268,8 +269,8 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
         b_mask = side
         while True:
             cases += 1
-            got = next(block & b_mask for block in blocks if block & b_mask)
-            if got != next(block & b_mask for block in prior if block & b_mask):
+            got = _revised(blocks, b_mask)
+            if got != _revised(prior, b_mask):
                 break
             b_mask = (b_mask - 1) & side
         a, b = u.prop_from_mask(a_mask), u.prop_from_mask(b_mask)
@@ -297,7 +298,7 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
     """
     epistemic_input = EpistemicInput(prop, attitude)
     _require_revisable(model, prop)
-    blocks = _posterior(rule, tuple(block.mask for block in model.blocks), epistemic_input)
+    blocks = _posterior(rule, model._masks, epistemic_input)
     worlds, mask = model.universe.worlds, prop.mask
     before, after = model.ranks(), _ranks(blocks, len(worlds))
     cases = 0
@@ -345,8 +346,7 @@ def check_degree_conditions(model: RankedModel) -> AxiomReport:
     full = u.tautology().mask
     props = [u.prop_from_mask(m) for m in range(full + 1)]
     degree = [None] + [model.disbelief_degree(p) for p in props[1:]]
-    blocks = [block.mask for block in model.blocks]
-    first_block = [0] + [blocks[model.first_consistent_block(p)] for p in props[1:]]
+    first_block = [0] + [model._masks[model.first_consistent_block(p)] for p in props[1:]]
     pair_cases, failure = _degree_pairs(degree, first_block)
     cases += pair_cases
     if failure is not None:
@@ -452,9 +452,8 @@ def constrained_successors(model: RankedModel,
     prop = epistemic_input.proposition
     _require_revisable(model, prop)
     first = required_content(model, epistemic_input).mask
-    blocks = [block.mask for block in model.blocks]
-    accepted = _side_chain(blocks, prop.mask & ~first)
-    rejected = _side_chain(blocks, ~prop.mask & ~first)
+    accepted = _side_chain(model._masks, prop.mask & ~first)
+    rejected = _side_chain(model._masks, ~prop.mask & ~first)
 
     def merges(xs: list[int], ys: list[int]) -> list[list[int]]:
         if not xs or not ys:
@@ -495,7 +494,7 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
     """
     candidates = _reversal_candidates(rule, epistemic_input.proposition, max_strength)
     _require_revisable(model, epistemic_input.proposition)
-    reversal = _reversal(rule, tuple(b.mask for b in model.blocks), epistemic_input, candidates)
+    reversal = _reversal(rule, model._masks, epistemic_input, candidates)
     if reversal is not None:
         return AxiomReport("R", True, candidates.index(reversal) + 1, reversal=reversal)
     detail = (f"no attitude toward {epistemic_input.proposition} maps the revised model "
@@ -539,9 +538,8 @@ def find_irreversibility(rule: RevisionRule, universe: Universe,
         candidates = _reversal_candidates(rule, prop, max_strength)
         steps += [(EpistemicInput(prop, attitude), candidates) for attitude in Attitude]
     for model in enumerate_ranked_models(universe):
-        prior = tuple(block.mask for block in model.blocks)
         for epistemic_input, candidates in steps:
-            if _reversal(rule, prior, epistemic_input, candidates) is None:
+            if _reversal(rule, model._masks, epistemic_input, candidates) is None:
                 return check_reversibility(rule, model, epistemic_input, max_strength).witness
     return None
 
@@ -562,6 +560,8 @@ def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_ST
     any smaller mask leaves a zero-valued world on both sides.
     """
     _check_strength_bound(max_strength)
+    if type(max_value) is not int:
+        raise InputError(f"max value must be an int, got {max_value!r}")
     n = len(universe.worlds)
     if n < 2 or max_value <= max_strength:
         return None
@@ -595,17 +595,13 @@ def counterexample_fixture(sizes: tuple[int, int, int, int] = (1, 1, 1, 1)) -> C
         raise InputError(f"fixture group sizes must be ints, got {sizes!r}")
     if len(sizes) != 4 or any(s < 1 for s in sizes):
         raise InputError("fixture needs four non-empty groups")
-    if sizes == (1, 1, 1, 1):
+    if tuple(sizes) == (1, 1, 1, 1):
         u = Universe.from_atoms(("A", "B"))
         groups = [u.prop("AB"), u.prop("Ab"), u.prop("aB"), u.prop("ab")]
     else:
-        labels = []
-        group_labels: list[list[str]] = []
-        for g, size in enumerate(sizes, start=1):
-            members = [f"w{g}{chr(ord('a') + j)}" for j in range(size)]
-            group_labels.append(members)
-            labels.extend(members)
-        u = Universe(tuple(labels))
+        group_labels = [[f"w{g}{chr(ord('a') + j)}" for j in range(size)]
+                        for g, size in enumerate(sizes, start=1)]
+        u = Universe(tuple(w for members in group_labels for w in members))
         groups = [u.prop(*members) for members in group_labels]
     w1, w2, w3, w4 = groups
     a = w1.union(w2)
@@ -704,8 +700,8 @@ def representation_check(table: Mapping[Proposition, Proposition]) -> RankedMode
     The table must map propositions to propositions, all over one universe,
     and be total over its non-empty propositions.  Peels the model's blocks
     (a system of spheres, Grove 1988), each the table's content for the
-    worlds not yet placed, then checks each entry of the given table against
-    it; a table no model reproduces yields None.
+    worlds not yet placed, as masks, then checks each entry of the given table
+    against them on masks; only a table they reproduce builds a ranked model.
     """
     if not table:
         raise InputError("empty revision table")
@@ -724,7 +720,7 @@ def representation_check(table: Mapping[Proposition, Proposition]) -> RankedMode
         block = table[universe.prop_from_mask(remaining)].mask
         if not block or block & ~remaining:
             return None
-        blocks.append(universe.prop_from_mask(block))
+        blocks.append(block)
         remaining &= ~block
-    model = RankedModel(tuple(blocks))
-    return model if all(revise(model, p) == t for p, t in table.items()) else None
+    ok = all(_revised(blocks, p.mask) == t.mask for p, t in table.items())
+    return _from_masks(universe, blocks) if ok else None

@@ -84,10 +84,10 @@ class Universe(_Value):
         worlds, atoms = tuple(worlds), tuple(atoms)
         if not worlds:
             raise InputError("universe needs at least one world")
+        if any(not isinstance(w, str) or not w for w in worlds):
+            raise InputError("world labels must be non-empty strings")
         if len(set(worlds)) != len(worlds):
             raise InputError("world labels must be pairwise distinct")
-        if any(not w for w in worlds):
-            raise InputError("world labels must be non-empty strings")
         if valuations is not None:
             valuations = tuple(tuple(row) for row in valuations)
             if len(valuations) != len(worlds):

@@ -44,6 +44,9 @@ written by joining ``labels()``, one set bit at a time.  The command, which
 runs its rule on block masks and renders each mask once per universe, must
 print the same bytes.
 
+``revise`` is the object-level sphere rule: the first consistent block,
+found by ``first_consistent_block``, intersected with the input.  The
+library's ``revise``, which cuts block masks, must return equal contents.
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
 
@@ -72,10 +75,16 @@ from rankrev import (
     apply_rule,
     ocf_from_rpm,
     required_content,
-    revise,
     rpm_from_ocf,
     spohn_conditionalize,
 )
+
+
+def revise(model: RankedModel, prop: Proposition) -> Proposition:
+    i = model.first_consistent_block(prop)
+    if i is None:
+        return model.universe.contradiction()
+    return model.blocks[i].intersect(prop)
 
 
 def check_agm(model: RankedModel) -> AxiomReport:

@@ -9,8 +9,9 @@ with the references' product-and-filter generator, model for model in order.
 Successor sets and representations, which the library builds directly, are
 compared with the references' filter and scan over every ranked model.
 
-The rules and ``ranks()``, which compute on block masks, are compared with
-the references' object-level bodies, posterior for posterior.
+The rules, ``ranks()`` and ``revise``, which compute on block masks, are
+compared with the references' object-level bodies, result for result, and a
+model's kept block masks with those of its block propositions.
 
 Reversal, which the library runs on block masks, is compared with the
 references' ``apply_rule`` per candidate, report for report, and the
@@ -415,6 +416,23 @@ def test_ranks_match_reference_on_all_five_world_models():
 @given(ranked_models(max_worlds=8))
 def test_ranks_match_reference_up_to_eight_worlds(model):
     assert model.ranks() == reference.ranks(model)
+
+
+def _same_revisions(model):
+    assert model._masks == tuple(block.mask for block in model.blocks)
+    for prop in model.universe.propositions():
+        assert rr.revise(model, prop) == reference.revise(model, prop)
+
+
+def test_revise_matches_reference_on_all_five_world_models():
+    for model in ALL_MODELS_5:
+        _same_revisions(model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_models(max_worlds=8))
+def test_revise_matches_reference_up_to_eight_worlds(model):
+    _same_revisions(model)
 
 
 # ---------------------------------------------------------------------------

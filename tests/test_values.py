@@ -57,6 +57,7 @@ CASES = {
         ((lambda: rr.Universe(()), "universe needs at least one world"),
          (lambda: rr.Universe(("w", "w")), "world labels must be pairwise distinct"),
          (lambda: rr.Universe(("w", "")), "world labels must be non-empty strings"),
+         (lambda: rr.Universe((1, 2)), "world labels must be non-empty strings"),
          (lambda: rr.Universe((X, Y), ("A",), ((True,),)), "one valuation row per world required"),
          (lambda: rr.Universe((X, Y), ("A", "B"), ((True,), (False,))),
           "every world needs a value for every atom"),
@@ -222,7 +223,7 @@ def test_iteration_checks_leave_the_model_unchanged():
     model = model_yx()
     for axiom in ("B9", "B10"):
         assert rr.check_iteration_axiom(rr.lexicographic_rule, axiom, model).passed
-    assert rr.RankedModel.__slots__ == ("blocks", "_ranks")
+    assert rr.RankedModel.__slots__ == ("blocks", "_masks", "_ranks")
     assert model == model_yx() and hash(model) == hash(model_yx())
     assert repr(model) == M_YX_REPR
     assert pickle.dumps(model) == pickle.dumps(model_yx())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 import tracemalloc
 
@@ -383,6 +384,17 @@ def test_negative_max_strength_is_input_error(r1, k1):
         for bound in (2.5, True):
             with pytest.raises(InputError, match=f"^max strength must be an int, got {bound}$"):
                 call(bound)
+    # the OCF search's value bound and conditionalization's strength are ints too
+    for bad in (3.5, "9", True):
+        message = re.escape(f"max value must be an int, got {bad!r}")
+        with pytest.raises(InputError, match=f"^{message}$"):
+            rr.find_ocf_irreversibility(U4, max_value=bad)
+    for bad in (1.5, "1", True):
+        message = re.escape(f"strength must be an int, got {bad!r}")
+        for call in (rr.spohn_conditionalize, rr.check_ocf_reversibility):
+            with pytest.raises(InputError, match=f"^{message}$"):
+                call(k1, A, bad)
+    assert rr.check_ocf_reversibility(k1, A, -2).passed  # a negative strength stays valid
     # zero is a valid bound: only the zero strength (suspension) is tried
     report = rr.check_reversibility(rr.spohn_rule(1), r1, believe_a, 0)
     assert report.cases == 1
@@ -531,6 +543,11 @@ def test_counterexample_fixture_validation():
             rr.counterexample_fixture(sizes)
 
 
+def test_counterexample_fixture_sizes_may_be_a_list():
+    assert rr.counterexample_fixture([1, 1, 1, 1]) == rr.counterexample_fixture()
+    assert rr.counterexample_fixture([2, 1, 1, 1]) == rr.counterexample_fixture((2, 1, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # representation
 
@@ -552,6 +569,30 @@ def test_representation_rejects_b2_violation(uni, r2):
     bad = dict(table)
     bad[uni.prop("ab")] = uni.prop("aB")
     assert rr.representation_check(bad) is None
+
+
+def test_representation_builds_only_the_model_it_returns(monkeypatch):
+    # The peel reads the entries for every world and for {w2 w3}.  Cutting the
+    # entry for {w0 w1} to {w0} leaves the peel intact, but no ranking
+    # revises {w0 w1 w2 w3} to {w0 w1} and {w0 w1} to {w0}.
+    u = plain_universe(4)
+    model = rr.RankedModel.from_ranks(u, (0, 0, 1, 1))
+    table = rr.revision_table(model)
+    corrupted = dict(table)
+    corrupted[u.prop("w0", "w1")] = u.prop("w0")
+    assert reference.representation_check(corrupted) is None
+    built = []
+    init = rr.RankedModel.__init__
+
+    def counting_init(self, blocks):
+        built.append(blocks)
+        init(self, blocks)
+
+    monkeypatch.setattr(rr.RankedModel, "__init__", counting_init)
+    assert rr.representation_check(corrupted) is None
+    assert built == []
+    assert rr.representation_check(table) == model
+    assert len(built) == 1
 
 
 def test_representation_single_world():
