@@ -2,12 +2,14 @@
 represent, degrees.
 
 Exit codes: 0 all checks pass, 1 a violation or witness was found, 2 usage or
-input error.  Output is deterministic: stable orderings, no timestamps.
+input error, or output that cannot be written.  Output is deterministic:
+stable orderings, no timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from typing import Callable
@@ -124,10 +126,42 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # The handlers' reads turn OSError into InputError, so this is a
+        # write to stdout that failed: a closed pipe or a full device.
+        return _unwritable(exc)
 
 
 def run():
-    sys.exit(main())
+    """Process entry of ``rankrev`` and ``python -m rankrev.cli``: run :func:`main`,
+    flush its output, and end the process at once.
+
+    The process exits through ``os._exit``, skipping interpreter shutdown:
+    module teardown and freeing every object cost a short job 10–20 ms and
+    write nothing.  An output that cannot be flushed exits 2.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:  # else main() has already reported an error, maybe this one
+            code = _unwritable(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
+def _unwritable(exc: OSError) -> int:
+    """Report output that cannot be written, on stderr if it is still writable; exit code 2."""
+    try:
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return 2
 
 
 def _ranked_state(model_file: ModelFile, name: str) -> RankedModel:

@@ -27,12 +27,18 @@ class RankedModel(_Value):
     __slots__ = ("blocks", "_masks", "_ranks")
 
     def __init__(self, blocks: Iterable[Proposition]):
-        blocks = tuple(blocks)
+        try:
+            blocks = tuple(blocks)
+        except TypeError:
+            raise InputError(f"ranked model blocks must be Propositions, got {blocks!r}") from None
         if not blocks:
             raise InputError("ranked model needs at least one block")
-        u = blocks[0].universe
+        # A first block that is no Proposition is refused in the loop.
+        u = getattr(blocks[0], "universe", None)
         masks = []
         for block in blocks:
+            if not isinstance(block, Proposition):
+                raise InputError(f"ranked model blocks must be Propositions, got {block!r}")
             if block.universe is not u and block.universe != u:
                 raise InputError("blocks are over different universes")
             masks.append(block.mask)
@@ -123,6 +129,8 @@ class OCF(_Value):
 
     def degree(self, prop: Proposition) -> int:
         """Minimum value over the proposition's worlds; undefined for the contradiction."""
+        if not isinstance(prop, Proposition):
+            raise InputError(f"degree needs a Proposition, got {prop!r}")
         _require_same_universe(self, prop)
         if prop.is_empty:
             raise InputError("degree of the contradiction is undefined")

@@ -88,12 +88,18 @@ class Universe(_Value):
             raise InputError("world labels must be non-empty strings")
         if len(set(worlds)) != len(worlds):
             raise InputError("world labels must be pairwise distinct")
+        if any(not isinstance(a, str) or not a for a in atoms):
+            raise InputError("atom names must be non-empty strings")
+        if len(set(atoms)) != len(atoms):
+            raise InputError("atom names must be pairwise distinct")
         if valuations is not None:
             valuations = tuple(tuple(row) for row in valuations)
             if len(valuations) != len(worlds):
                 raise InputError("one valuation row per world required")
             if any(len(row) != len(atoms) for row in valuations):
                 raise InputError("every world needs a value for every atom")
+            if any(type(v) is not bool for row in valuations for v in row):
+                raise InputError("valuation entries must be bools")
             if len(set(valuations)) != len(valuations):
                 raise InputError("no two worlds may share an identical valuation")
         self._fill(worlds, atoms, valuations)
@@ -119,7 +125,7 @@ class Universe(_Value):
         if not atoms:
             raise InputError("auto worlds need at least one atom")
         for a in atoms:
-            if len(a) != 1 or not a.isalpha():
+            if not isinstance(a, str) or len(a) != 1 or not a.isalpha():
                 raise InputError(f"auto worlds need single-letter atoms, got {a!r}")
         rows = tuple(product((True, False), repeat=len(atoms)))
         labels = tuple(

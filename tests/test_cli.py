@@ -1,5 +1,7 @@
 """Command dispatch, exit codes, and golden output."""
 
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -29,6 +31,43 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a child Python that imports this checkout's rankrev.
+
+    Its stdout is block-buffered, as under a plain shell, whatever this
+    process's ``PYTHONUNBUFFERED`` says.
+    """
+    src = str(Path(rankrev.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return env
+
+
+# ``rankrev.cli.run()`` in a child process, under an exit hook that reports on
+# stderr whether interpreter shutdown ran.
+_RUN = ("import atexit, sys, rankrev.cli\n"
+        "atexit.register(lambda: print('interpreter shutdown ran', file=sys.stderr))\n"
+        "rankrev.cli.run()\n")
+
+
+def run_process(*argv, **kwargs):
+    """Run the command line in a child process; stderr is captured as text."""
+    return subprocess.run([sys.executable, "-c", _RUN, *argv], env=child_env(),
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+def long_script(tmp_path, rule: str) -> Path:
+    """A 256-step script cycling the strength script's directives; strengths only for spohn."""
+    directives = [line for line in STRENGTH_SCRIPT.read_text(encoding="utf-8").splitlines()
+                  if line and not line.startswith("#")]
+    if not rule.startswith("spohn"):
+        directives = [line.split(" strength")[0] for line in directives]
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(directives[i % len(directives)] for i in range(256)) + "\n",
+                    encoding="utf-8")
+    return path
 
 
 def test_enumerate(capsys):
@@ -269,13 +308,7 @@ def test_iterate_golden_bytes(capsys, golden, rule, script):
 @pytest.mark.parametrize("rule", ["lex", "natural", "flip", "spohn:2"])
 def test_iterate_builds_no_ranked_model_per_step(capsys, monkeypatch, tmp_path, rule):
     """After the file loads, a 256-step run works on block masks only."""
-    directives = [line for line in STRENGTH_SCRIPT.read_text(encoding="utf-8").splitlines()
-                  if line and not line.startswith("#")]
-    if rule != "spohn:2":
-        directives = [line.split(" strength")[0] for line in directives]
-    path = tmp_path / "long.txt"
-    path.write_text("\n".join(directives[i % len(directives)] for i in range(256)) + "\n",
-                    encoding="utf-8")
+    path = long_script(tmp_path, rule)
     built = []
     init, load = rankrev.RankedModel.__init__, rankrev.cli.load_model
 
@@ -621,12 +654,54 @@ def test_usage_error_exit_code(capsys):
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():
     """Each CLI call is a fresh process, so the package keeps its imports light."""
-    src = str(Path(rankrev.__file__).parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = "import rankrev.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_run_ends_the_process_without_interpreter_shutdown():
+    proc = run_process("enumerate", "--worlds", "3", stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "13\n", "")
+
+
+def test_run_through_a_pipe_prints_what_main_prints(capsys, tmp_path):
+    """256 steps overflow stdout's buffer; what is left in it is flushed before the exit."""
+    argv = ["iterate", "--model", FOUR_ATOM_FILE, "--state", "s", "--rule", "spohn:2",
+            str(long_script(tmp_path, "spohn:2"))]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 258
+    proc = run_process(*argv, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_a_pipe_without_reader_exits_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process("counterexample", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+def test_a_full_device_exits_2():
+    with open("/dev/full", "wb") as full:
+        proc = run_process("counterexample", stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_main_returns_2_when_stdout_cannot_be_written(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["enumerate", "--worlds", "3"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
 
 
 def test_benchmark_tracer_finds_its_targets(capsys, monkeypatch):

@@ -45,7 +45,7 @@ class Case(NamedTuple):
     keywords: Callable         # the same value, every argument by its parameter name
     repr: str
     field: str                 # a field to try to assign and delete
-    errors: tuple = ()         # (constructor call, exact InputError message)
+    errors: tuple = ()         # (constructor or method call, exact InputError message)
     hashable: bool = True
 
 
@@ -62,7 +62,14 @@ CASES = {
          (lambda: rr.Universe((X, Y), ("A", "B"), ((True,), (False,))),
           "every world needs a value for every atom"),
          (lambda: rr.Universe((X, Y), ("A",), ((True,), (True,))),
-          "no two worlds may share an identical valuation"))),
+          "no two worlds may share an identical valuation"),
+         (lambda: rr.Universe((X, Y), (1,), ((True,), (False,))),
+          "atom names must be non-empty strings"),
+         (lambda: rr.Universe((X, Y), ("",)), "atom names must be non-empty strings"),
+         (lambda: rr.Universe((X, Y), ("A", "A"), ((True, True), (False, False))),
+          "atom names must be pairwise distinct"),
+         (lambda: rr.Universe((X, Y), ("A",), ((1,), (0,))), "valuation entries must be bools"),
+         (lambda: rr.Universe.from_atoms((1,)), "auto worlds need single-letter atoms, got 1"))),
     "Proposition": Case(
         lambda: rr.Proposition(U2, 1),
         lambda: rr.Proposition(universe=rr.Universe((X, Y)), mask=1),
@@ -82,7 +89,10 @@ CASES = {
          (lambda: rr.RankedModel((U2.tautology(), U2.contradiction())),
           "ranked model blocks must be non-empty"),
          (lambda: rr.RankedModel((P_X, U2.tautology())), "ranked model blocks must be disjoint"),
-         (lambda: rr.RankedModel((P_X,)), "ranked model blocks must cover the universe"))),
+         (lambda: rr.RankedModel((P_X,)), "ranked model blocks must cover the universe"),
+         (lambda: rr.RankedModel([1, 2]), "ranked model blocks must be Propositions, got 1"),
+         (lambda: rr.RankedModel((P_X, 2)), "ranked model blocks must be Propositions, got 2"),
+         (lambda: rr.RankedModel(None), "ranked model blocks must be Propositions, got None"))),
     "OCF": Case(
         lambda: rr.OCF(U2, (0, 2)),
         lambda: rr.OCF(universe=U2, values=[0, 2]),
@@ -90,7 +100,9 @@ CASES = {
         ((lambda: rr.OCF(U2, (0,)), "one value per world required"),
          (lambda: rr.OCF(U2, (0, -1)), "values must be natural numbers"),
          (lambda: rr.OCF(U2, (0, True)), "values must be natural numbers"),
-         (lambda: rr.OCF(U2, (1, 2)), "not normalized: minimum value must be 0"))),
+         (lambda: rr.OCF(U2, (1, 2)), "not normalized: minimum value must be 0"),
+         (lambda: rr.OCF(U2, (0, 2)).degree(None), "degree needs a Proposition, got None"),
+         (lambda: rr.OCF(U2, (0, 2)).degree(1), "degree needs a Proposition, got 1"))),
     "EpistemicInput": Case(
         lambda: rr.EpistemicInput(P_X, Attitude.BELIEVE, 2),
         lambda: rr.EpistemicInput(proposition=P_X, attitude=Attitude.BELIEVE, strength=2),
