@@ -3,15 +3,21 @@ represent, degrees.
 
 Exit codes: 0 all checks pass, 1 a violation or witness was found, 2 usage or
 input error, or output that cannot be written.  Output is deterministic:
-stable orderings, no timestamps.
+stable orderings, no timestamps.  :func:`main` collects a command's stdout,
+``--help`` included, and writes it once when the command ends; a closed
+stdout, a pipe with no reader or a full device exits 2 with one line on
+stderr.  :func:`run` is :func:`main` plus ``os._exit``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import io
 import os
 import re
 import sys
+from contextlib import redirect_stdout, suppress
 from typing import Callable
 
 from .errors import InputError, ParseError
@@ -59,18 +65,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("revise", help="revise a ranked state by a proposition")
+    p.set_defaults(handler=_cmd_revise)
     p.add_argument("--model", required=True, help="model file path")
     p.add_argument("--state", required=True, help="name of a ranked state")
     p.add_argument("--rule", help="lex, natural, flip, or spohn:N (also prints the posterior)")
     p.add_argument("prop", help="proposition name or expression")
 
     p = sub.add_parser("iterate", help="run a script of attitude lines against a state")
+    p.set_defaults(handler=_cmd_iterate)
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("script", help="script file: believe/disbelieve/suspend EXPR [strength N]")
 
     p = sub.add_parser("check", help="run axiom checkers over the file's ranked states")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("--model", required=True)
     p.add_argument("--state", help="restrict to one named state")
     p.add_argument("--rule", help="required for b9, b10, order, r")
@@ -81,18 +90,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample",
                        help="verify that no rule satisfying B9/B10 can reverse both histories")
+    p.set_defaults(handler=_cmd_counterexample)
     p.add_argument("--worlds", type=int, default=4, help=f"4 to {DEFAULT_CHECK_BOUND}")
     p.add_argument("--max-strength", type=int, default=DEFAULT_MAX_STRENGTH)
 
     p = sub.add_parser("enumerate", help="count ranked models over n worlds")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("--worlds", type=int, required=True)
 
     p = sub.add_parser("represent", help="recover each ranked state from its revision table")
+    p.set_defaults(handler=_cmd_represent)
     p.add_argument("--model", required=True)
     p.add_argument("--state")
     p.add_argument("--max-worlds", type=int, default=DEFAULT_CHECK_BOUND)
 
     p = sub.add_parser("degrees", help="degrees of disbelief for the file's propositions")
+    p.set_defaults(handler=_cmd_degrees)
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--max-worlds", type=int, default=DEFAULT_CHECK_BOUND)
@@ -100,68 +113,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command in this process, write its stdout once, and return the exit code."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            args = build_parser().parse_args(argv)
+            if getattr(args, "max_worlds", 1) < 1:
+                raise InputError(f"--max-worlds must be at least 1, got {args.max_worlds}")
+            # A ranking has at most MAX_MODEL_WORLDS ranks, and any strength from a
+            # model's block count up gives the same posterior.
+            if getattr(args, "max_strength", 0) > MAX_MODEL_WORLDS:
+                raise InputError(f"--max-strength must be at most {MAX_MODEL_WORLDS}, "
+                                 f"got {args.max_strength}")
+            code = args.handler(args)
+        except SystemExit as exc:  # argparse, after --help or a usage error
+            code = exc.code if isinstance(exc.code, int) else 2
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    if not out.tell():  # nothing to write, so a closed stdout is no error
+        return code
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    handler = {
-        "revise": _cmd_revise,
-        "iterate": _cmd_iterate,
-        "check": _cmd_check,
-        "counterexample": _cmd_counterexample,
-        "enumerate": _cmd_enumerate,
-        "represent": _cmd_represent,
-        "degrees": _cmd_degrees,
-    }[args.command]
-    try:
-        if getattr(args, "max_worlds", 1) < 1:
-            raise InputError(f"--max-worlds must be at least 1, got {args.max_worlds}")
-        # A ranking has at most MAX_MODEL_WORLDS ranks, and any strength from a
-        # model's block count up gives the same posterior.
-        if getattr(args, "max_strength", 0) > MAX_MODEL_WORLDS:
-            raise InputError(f"--max-strength must be at most {MAX_MODEL_WORLDS}, "
-                             f"got {args.max_strength}")
-        return handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stdout is None:  # fd 1 was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a closed stream
+        with suppress(OSError, ValueError):
+            print(f"error: cannot write output: {getattr(exc, 'strerror', None) or exc}",
+                  file=sys.stderr)
         return 2
-    except OSError as exc:
-        # The handlers' reads turn OSError into InputError, so this is a
-        # write to stdout that failed: a closed pipe or a full device.
-        return _unwritable(exc)
+    return code
 
 
 def run():
     """Process entry of ``rankrev`` and ``python -m rankrev.cli``: run :func:`main`,
-    flush its output, and end the process at once.
+    flush stderr, and end the process at once.
 
     The process exits through ``os._exit``, skipping interpreter shutdown:
     module teardown and freeing every object cost a short job 10–20 ms and
-    write nothing.  An output that cannot be flushed exits 2.
+    write nothing.
     """
     code = main()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as exc:
-        if code != 2:  # else main() has already reported an error, maybe this one
-            code = _unwritable(exc)
-    try:
+    with suppress(OSError):
         if sys.stderr is not None:
             sys.stderr.flush()
-    except OSError:
-        pass
     os._exit(code)
-
-
-def _unwritable(exc: OSError) -> int:
-    """Report output that cannot be written, on stderr if it is still writable; exit code 2."""
-    try:
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-    except OSError:
-        pass
-    return 2
 
 
 def _ranked_state(model_file: ModelFile, name: str) -> RankedModel:

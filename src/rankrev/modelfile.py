@@ -19,6 +19,7 @@ universe exhaustively passes a world bound; every other caller gets
 
 from __future__ import annotations
 
+import os
 import re
 
 from .errors import InputError, ParseError
@@ -50,6 +51,9 @@ class ModelFile(_Value):
 
 def read_text(path: str, what: str) -> str:
     """The UTF-8 text of a file; unreadable or undecodable files are input errors."""
+    # open() would adopt an int as a file descriptor, and close it when done.
+    if not isinstance(path, (str, os.PathLike)):
+        raise InputError(f"{what} path must be a str or os.PathLike, got {path!r}")
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
@@ -77,6 +81,8 @@ class _ModelReader:
     def __init__(self, max_worlds: int | None):
         self.max_worlds = MAX_MODEL_WORLDS
         if max_worlds is not None:
+            if type(max_worlds) is not int:
+                raise InputError(f"max worlds must be an int or None, got {max_worlds!r}")
             self.max_worlds = min(max_worlds, MAX_MODEL_WORLDS)
         self.atoms: tuple[str, ...] | None = None
         self.auto = False

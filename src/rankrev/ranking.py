@@ -77,6 +77,8 @@ class RankedModel(_Value):
 
     def first_consistent_block(self, prop: Proposition) -> int | None:
         """Index of the first block meeting ``prop``; None iff ``prop`` is empty."""
+        if not isinstance(prop, Proposition):
+            raise InputError(f"first_consistent_block needs a Proposition, got {prop!r}")
         _require_same_universe(self.blocks[0], prop)
         for i, block in enumerate(self._masks):
             if block & prop.mask:
@@ -90,6 +92,8 @@ class RankedModel(_Value):
         proposition; computed from world ranks so the two routes stay
         independently checkable.
         """
+        if not isinstance(prop, Proposition):
+            raise InputError(f"disbelief_degree needs a Proposition, got {prop!r}")
         _require_same_universe(self.blocks[0], prop)
         if prop.is_empty:
             raise InputError("degree of the contradiction is undefined")

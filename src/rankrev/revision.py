@@ -87,6 +87,8 @@ def revise(model: RankedModel, prop: Proposition) -> Proposition:
     The new belief set is every proposition the returned content entails.
     The content is empty exactly when ``prop`` is the contradiction.
     """
+    if not isinstance(prop, Proposition):
+        raise InputError(f"revise needs a Proposition, got {prop!r}")
     _require_same_universe(model, prop)
     return Proposition(model.universe, _revised(model._masks, prop.mask))
 

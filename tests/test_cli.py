@@ -52,10 +52,20 @@ _RUN = ("import atexit, sys, rankrev.cli\n"
         "rankrev.cli.run()\n")
 
 
-def run_process(*argv, **kwargs):
+def run_process(*argv, env=None, **kwargs):
     """Run the command line in a child process; stderr is captured as text."""
-    return subprocess.run([sys.executable, "-c", _RUN, *argv], env=child_env(),
+    return subprocess.run([sys.executable, "-c", _RUN, *argv],
+                          env=child_env() if env is None else env,
                           stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+def closing(fd: int):
+    """A ``preexec_fn`` that starts the child with ``fd`` closed, as ``N>&-`` in a shell."""
+    return lambda: os.close(fd)
+
+
+# The child's stdout written through at once, as under ``PYTHONUNBUFFERED=1``.
+UNBUFFERED = {**child_env(), "PYTHONUNBUFFERED": "1"}
 
 
 def long_script(tmp_path, rule: str) -> Path:
@@ -694,6 +704,37 @@ def test_a_full_device_exits_2():
     assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
+def test_a_stdout_closed_before_start_exits_2():
+    proc = run_process("enumerate", "--worlds", "3", preexec_fn=closing(1))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["help", "check-help"])
+def test_help_into_a_full_device_exits_2_when_written_through(argv):
+    """argparse's own write of ``--help`` would swallow the error of an unbuffered stdout."""
+    with open("/dev/full", "wb") as full:
+        proc = run_process(*argv, stdout=full, env=UNBUFFERED)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/full is Linux's")
+@pytest.mark.parametrize("env", [None, UNBUFFERED], ids=["buffered", "unbuffered"])
+def test_a_full_device_exits_2_with_stderr_closed(env):
+    with open("/dev/full", "wb") as full:
+        proc = run_process("counterexample", stdout=full, env=env, preexec_fn=closing(2))
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def test_a_usage_error_with_stdout_closed_prints_only_the_usage_error(capsys):
+    code, out, err = run(capsys, "revise")
+    assert (code, out) == (2, "") and err.startswith("usage: rankrev revise")
+    proc = run_process("revise", preexec_fn=closing(1))
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
 def test_main_returns_2_when_stdout_cannot_be_written(capsys, monkeypatch):
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -702,6 +743,18 @@ def test_main_returns_2_when_stdout_cannot_be_written(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["enumerate", "--worlds", "3"]) == 2
     assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.parametrize("stdout", [None, io.StringIO()], ids=["missing", "closed"])
+def test_main_returns_2_for_a_missing_or_closed_stdout(capsys, monkeypatch, stdout):
+    if stdout is not None:
+        stdout.close()
+        reason = "I/O operation on closed file"
+    else:
+        reason = os.strerror(errno.EBADF)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["enumerate", "--worlds", "3"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {reason}\n"
 
 
 def test_benchmark_tracer_finds_its_targets(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Model file loading, validation diagnostics, and print/reload round trips."""
 
+import os
 from itertools import product
 from pathlib import Path
 
@@ -130,6 +131,18 @@ def test_no_worlds_at_all():
 def test_missing_file():
     with pytest.raises(rr.InputError):
         load_model("/nonexistent/path.bel")
+
+
+def test_a_file_descriptor_is_refused_and_left_open():
+    fd = os.dup(0)
+    try:
+        with pytest.raises(InputError, match=f"^model file path must be a str or os.PathLike, "
+                                             f"got {fd}$"):
+            load_model(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+    assert load_model(FIXTURE) == load_model(str(FIXTURE))
 
 
 def test_comments_and_blank_lines():

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -14,6 +15,7 @@ X, Y = ("x", "y")
 U2 = rr.Universe((X, Y))
 P_X, P_Y = U2.prop(X), U2.prop(Y)
 U2_REPR = "Universe(worlds=('x', 'y'), atoms=(), valuations=None)"
+FIXTURE = Path(__file__).parent / "data" / "fixture.bel"
 M_XY_REPR = "RankedModel(blocks=(Proposition(mask=1), Proposition(mask=2)))"
 
 
@@ -45,7 +47,7 @@ class Case(NamedTuple):
     keywords: Callable         # the same value, every argument by its parameter name
     repr: str
     field: str                 # a field to try to assign and delete
-    errors: tuple = ()         # (constructor or method call, exact InputError message)
+    errors: tuple = ()         # (a call on or for the class, exact InputError message)
     hashable: bool = True
 
 
@@ -92,7 +94,14 @@ CASES = {
          (lambda: rr.RankedModel((P_X,)), "ranked model blocks must cover the universe"),
          (lambda: rr.RankedModel([1, 2]), "ranked model blocks must be Propositions, got 1"),
          (lambda: rr.RankedModel((P_X, 2)), "ranked model blocks must be Propositions, got 2"),
-         (lambda: rr.RankedModel(None), "ranked model blocks must be Propositions, got None"))),
+         (lambda: rr.RankedModel(None), "ranked model blocks must be Propositions, got None"),
+         (lambda: model_xy().disbelief_degree(None),
+          "disbelief_degree needs a Proposition, got None"),
+         (lambda: model_xy().first_consistent_block(1),
+          "first_consistent_block needs a Proposition, got 1"),
+         (lambda: rr.revise(model_xy(), None), "revise needs a Proposition, got None"),
+         (lambda: rr.revise(model_xy(), model_yx()),
+          f"revise needs a Proposition, got {M_YX_REPR}"))),
     "OCF": Case(
         lambda: rr.OCF(U2, (0, 2)),
         lambda: rr.OCF(universe=U2, values=[0, 2]),
@@ -152,7 +161,18 @@ CASES = {
         lambda: rr.ModelFile(U2, {"p": P_X}),
         lambda: rr.ModelFile(universe=U2, props={"p": P_X}, rpms={}, ocfs={}),
         f"ModelFile(universe={U2_REPR}, props={{'p': Proposition(mask=1)}}, rpms={{}}, ocfs={{}})",
-        "props", hashable=False),
+        "props",
+        # -1 first: without the check, open() would adopt and close fd 1 for True.
+        ((lambda: rr.load_model(-1), "model file path must be a str or os.PathLike, got -1"),
+         (lambda: rr.load_model(True), "model file path must be a str or os.PathLike, got True"),
+         (lambda: rr.load_model(b"x.bel"),
+          "model file path must be a str or os.PathLike, got b'x.bel'"),
+         (lambda: rr.parse_model("atoms A\nworlds auto\n", "x"),
+          "max worlds must be an int or None, got 'x'"),
+         (lambda: rr.parse_model("atoms A\nworlds auto\n", 2.5),
+          "max worlds must be an int or None, got 2.5"),
+         (lambda: rr.load_model(FIXTURE, True), "max worlds must be an int or None, got True")),
+        hashable=False),
 }
 
 
