@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="verify that no rule satisfying B9/B10 can reverse both histories")
     p.set_defaults(handler=_cmd_counterexample)
-    p.add_argument("--worlds", type=int, default=4, help=f"4 to {DEFAULT_CHECK_BOUND}")
+    p.add_argument("--worlds", type=int, default=4, help=f"3 to {DEFAULT_CHECK_BOUND}")
     p.add_argument("--max-strength", type=int, default=DEFAULT_MAX_STRENGTH)
 
     p = sub.add_parser("enumerate", help="count ranked models over n worlds")
@@ -311,8 +311,8 @@ def _print_report(label: str, report) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    if args.worlds < 4:
-        raise InputError("the counterexample needs at least four worlds")
+    if args.worlds < 3:
+        raise InputError("the counterexample needs at least three worlds")
     check_world_bound(args.worlds, DEFAULT_CHECK_BOUND)
     sizes = (args.worlds - 3, 1, 1, 1)
     fixture = counterexample_fixture(sizes)

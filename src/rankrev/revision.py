@@ -87,6 +87,8 @@ def revise(model: RankedModel, prop: Proposition) -> Proposition:
     The new belief set is every proposition the returned content entails.
     The content is empty exactly when ``prop`` is the contradiction.
     """
+    if not isinstance(model, RankedModel):
+        raise InputError(f"revise needs a RankedModel, got {model!r}")
     if not isinstance(prop, Proposition):
         raise InputError(f"revise needs a Proposition, got {prop!r}")
     _require_same_universe(model, prop)
@@ -104,6 +106,10 @@ def suspend_content(model: RankedModel, prop: Proposition) -> Proposition:
 
 def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Proposition:
     """The belief content any rule must produce for the given input."""
+    if not isinstance(model, RankedModel):
+        raise InputError(f"required_content needs a RankedModel, got {model!r}")
+    if not isinstance(epistemic_input, EpistemicInput):
+        raise InputError(f"required_content needs an EpistemicInput, got {epistemic_input!r}")
     prop = epistemic_input.proposition
     if epistemic_input.attitude is Attitude.BELIEVE:
         return revise(model, prop)
@@ -257,6 +263,8 @@ def spohn_rule(alpha: int) -> RevisionRule:
 
 def rule_by_name(text: str) -> RevisionRule:
     """Look up ``lex``, ``natural``, ``flip``, or ``spohn:N``."""
+    if not isinstance(text, str):
+        raise InputError(f"rule_by_name needs a str, got {text!r}")
     if text == "lex":
         return lexicographic_rule
     if text == "natural":

@@ -449,6 +449,10 @@ def constrained_successors(model: RankedModel,
     block is the head of one chain or both heads joined.  Returned in
     canonical enumeration order.
     """
+    if not isinstance(model, RankedModel):
+        raise InputError(f"constrained_successors needs a RankedModel, got {model!r}")
+    if not isinstance(epistemic_input, EpistemicInput):
+        raise InputError(f"constrained_successors needs an EpistemicInput, got {epistemic_input!r}")
     prop = epistemic_input.proposition
     _require_revisable(model, prop)
     first = required_content(model, epistemic_input).mask
@@ -492,6 +496,12 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
     one maps the revised model back to the original.  The successful reversal
     input is reported, and ``cases`` counts the candidates tried.
     """
+    if not isinstance(rule, RevisionRule):
+        raise InputError(f"check_reversibility needs a RevisionRule, got {rule!r}")
+    if not isinstance(model, RankedModel):
+        raise InputError(f"check_reversibility needs a RankedModel, got {model!r}")
+    if not isinstance(epistemic_input, EpistemicInput):
+        raise InputError(f"check_reversibility needs an EpistemicInput, got {epistemic_input!r}")
     candidates = _reversal_candidates(rule, epistemic_input.proposition, max_strength)
     _require_revisable(model, epistemic_input.proposition)
     reversal = _reversal(rule, model._masks, epistemic_input, candidates)
@@ -526,13 +536,19 @@ def find_irreversibility(rule: RevisionRule, universe: Universe,
                          max_strength: int = DEFAULT_MAX_STRENGTH) -> Witness | None:
     """First (model, input) pair, in canonical order, that the rule cannot reverse.
 
-    For any rule satisfying B9 and B10 over a universe of at least four
+    For any rule satisfying B9 and B10 over a universe of at least three
     worlds such a pair exists; None means no step is irreversible within the
-    strength bound.  The walk reads the block masks of every ranked model,
-    Fubini(n) of them, and ``check_reversibility`` only words the witness.
+    strength bound.  Below three worlds None is the exact answer for such a
+    rule whenever every attitude is tried: each input then has one successor,
+    and the attitude that puts a prior's first block first restores it.  The
+    walk reads the block masks of every ranked model, Fubini(n) of them, and
+    ``check_reversibility`` only words the witness.
     """
-    if len(universe.worlds) < 4:
-        raise InputError("irreversibility needs at least four worlds")
+    if not isinstance(rule, RevisionRule):
+        raise InputError(f"find_irreversibility needs a RevisionRule, got {rule!r}")
+    if not isinstance(universe, Universe):
+        raise InputError(f"find_irreversibility needs a Universe, got {universe!r}")
+    _check_strength_bound(max_strength)
     steps = []
     for prop in list(universe.propositions())[1:-1]:
         candidates = _reversal_candidates(rule, prop, max_strength)
@@ -571,10 +587,11 @@ def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_ST
 
 
 class CounterexampleFixture(_Value):
-    """The four-block construction: A spans the first two groups.
+    """The four-group construction: A spans the first two groups.
 
     ``r1`` ranks the third group above everything else, ``r2`` additionally
     separates the fourth group, and ``r3`` is where believing A sends both.
+    No ranking separates the first two groups, so the first may be empty.
     """
 
     __slots__ = ("universe", "prop_a", "r1", "r2", "r3")
@@ -585,16 +602,18 @@ class CounterexampleFixture(_Value):
 
 
 def counterexample_fixture(sizes: tuple[int, int, int, int] = (1, 1, 1, 1)) -> CounterexampleFixture:
-    """Build the fixture; ``sizes`` are the four group sizes, each at least one.
+    """Build the fixture; ``sizes`` are the four group sizes, the first at
+    least zero and the others at least one.
 
     The default instantiates the two-atom universe (worlds AB, Ab, aB, ab with
     the four groups being the four single worlds); other sizes use plain
-    labels ``w<group><letter>`` without valuations.
+    labels ``w<group><letter>`` without valuations.  Sizes (0, 1, 1, 1) give
+    the smallest universe, three worlds, where A is the second group alone.
     """
-    if any(type(s) is not int for s in sizes):
+    if not isinstance(sizes, (tuple, list)) or any(type(s) is not int for s in sizes):
         raise InputError(f"fixture group sizes must be ints, got {sizes!r}")
-    if len(sizes) != 4 or any(s < 1 for s in sizes):
-        raise InputError("fixture needs four non-empty groups")
+    if len(sizes) != 4 or sizes[0] < 0 or any(s < 1 for s in sizes[1:]):
+        raise InputError("fixture needs four groups, all but the first non-empty")
     if tuple(sizes) == (1, 1, 1, 1):
         u = Universe.from_atoms(("A", "B"))
         groups = [u.prop("AB"), u.prop("Ab"), u.prop("aB"), u.prop("ab")]

@@ -284,8 +284,6 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
 
 
 def find_irreversibility(rule: RevisionRule, universe, max_strength: int) -> Witness | None:
-    if len(universe.worlds) < 4:
-        raise InputError("irreversibility needs at least four worlds")
     full = universe.tautology().mask
     for model in enumerate_ranked_models(universe):
         for a_mask in range(1, full):

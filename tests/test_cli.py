@@ -17,8 +17,8 @@ FIXTURE = str(Path(__file__).parent / "data" / "fixture.bel")
 FIVE_ATOMS = str(Path(__file__).parent / "data" / "five-atoms.bel")
 GOLDEN = Path(__file__).parent / "golden" / "counterexample.txt"
 # ``counterexample --worlds N`` output; the default (4 worlds) keeps the plain name.
-GOLDENS = {4: GOLDEN, 5: GOLDEN.with_name("counterexample-5.txt"),
-           6: GOLDEN.with_name("counterexample-6.txt")}
+GOLDENS = {3: GOLDEN.with_name("counterexample-3.txt"), 4: GOLDEN,
+           5: GOLDEN.with_name("counterexample-5.txt"), 6: GOLDEN.with_name("counterexample-6.txt")}
 FOUR_ATOM_FILE = str(Path(__file__).parent / "data" / "four-atoms.bel")
 SCRIPT = Path(__file__).parent / "data" / "iterate-script.txt"
 STRENGTH_SCRIPT = Path(__file__).parent / "data" / "iterate-script-strength.txt"
@@ -228,7 +228,7 @@ def test_counterexample_up_to_the_check_bound(capsys, worlds):
 
 
 @pytest.mark.parametrize("worlds, err", [
-    ("3", "error: the counterexample needs at least four worlds\n"),
+    ("2", "error: the counterexample needs at least three worlds\n"),
     ("9", "error: universe has 9 worlds, over the bound of 8\n"),
     ("100000000", "error: universe has 100000000 worlds, over the bound of 8\n")])
 def test_counterexample_world_count_out_of_range(capsys, monkeypatch, worlds, err):

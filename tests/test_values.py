@@ -31,6 +31,10 @@ def fixture_xy():
     return rr.CounterexampleFixture(U2, U2.prop(X), model_xy(), model_yx(), model_xy())
 
 
+def believe_x():
+    return rr.EpistemicInput(P_X, Attitude.BELIEVE)
+
+
 def witness():
     return rr.Witness("why", model_xy(), world_pair=(X, Y))
 
@@ -71,7 +75,9 @@ CASES = {
          (lambda: rr.Universe((X, Y), ("A", "A"), ((True, True), (False, False))),
           "atom names must be pairwise distinct"),
          (lambda: rr.Universe((X, Y), ("A",), ((1,), (0,))), "valuation entries must be bools"),
-         (lambda: rr.Universe.from_atoms((1,)), "auto worlds need single-letter atoms, got 1"))),
+         (lambda: rr.Universe.from_atoms((1,)), "auto worlds need single-letter atoms, got 1"),
+         (lambda: rr.find_irreversibility(rr.lexicographic_rule, None),
+          "find_irreversibility needs a Universe, got None"))),
     "Proposition": Case(
         lambda: rr.Proposition(U2, 1),
         lambda: rr.Proposition(universe=rr.Universe((X, Y)), mask=1),
@@ -101,7 +107,14 @@ CASES = {
           "first_consistent_block needs a Proposition, got 1"),
          (lambda: rr.revise(model_xy(), None), "revise needs a Proposition, got None"),
          (lambda: rr.revise(model_xy(), model_yx()),
-          f"revise needs a Proposition, got {M_YX_REPR}"))),
+          f"revise needs a Proposition, got {M_YX_REPR}"),
+         (lambda: rr.revise(None, P_X), "revise needs a RankedModel, got None"),
+         (lambda: rr.required_content(None, believe_x()),
+          "required_content needs a RankedModel, got None"),
+         (lambda: rr.check_reversibility(rr.lexicographic_rule, None, believe_x()),
+          "check_reversibility needs a RankedModel, got None"),
+         (lambda: rr.constrained_successors(P_X, believe_x()),
+          "constrained_successors needs a RankedModel, got Proposition(mask=1)"))),
     "OCF": Case(
         lambda: rr.OCF(U2, (0, 2)),
         lambda: rr.OCF(universe=U2, values=[0, 2]),
@@ -124,12 +137,24 @@ CASES = {
          (lambda: rr.EpistemicInput(P_X, "disbelieve"),
           "attitude must be an Attitude, got 'disbelieve'"),
          (lambda: rr.EpistemicInput(1, Attitude.BELIEVE),
-          "proposition must be a Proposition, got 1"))),
+          "proposition must be a Proposition, got 1"),
+         (lambda: rr.required_content(model_xy(), None),
+          "required_content needs an EpistemicInput, got None"),
+         (lambda: rr.check_reversibility(rr.lexicographic_rule, model_xy(), None),
+          "check_reversibility needs an EpistemicInput, got None"),
+         (lambda: rr.constrained_successors(model_xy(), P_X),
+          "constrained_successors needs an EpistemicInput, got Proposition(mask=1)"))),
     "RevisionRule": Case(
         lambda: rr.RevisionRule("max", max),
         lambda: rr.RevisionRule(name="max", transform=max, strength_based=False),
         "RevisionRule(name='max', transform=<built-in function max>, strength_based=False)",
-        "name"),
+        "name",
+        ((lambda: rr.find_irreversibility(None, U2),
+          "find_irreversibility needs a RevisionRule, got None"),
+         (lambda: rr.check_reversibility("lex", model_xy(), believe_x()),
+          "check_reversibility needs a RevisionRule, got 'lex'"),
+         (lambda: rr.rule_by_name(1), "rule_by_name needs a str, got 1"),
+         (lambda: rr.rule_by_name(None), "rule_by_name needs a str, got None"))),
     "Witness": Case(
         witness,
         lambda: rr.Witness(description="why", model=model_xy(), proposition=None, second=None,

@@ -377,7 +377,9 @@ def test_negative_max_strength_is_input_error(r1, k1):
              lambda m: rr.check_reversibility(rr.lexicographic_rule, r1, believe_a, m),
              lambda m: rr.check_ocf_reversibility(k1, A, 0, m),
              lambda m: rr.counterexample_verify(max_strength=m),
-             lambda m: rr.find_ocf_irreversibility(U4, max_value=1, max_strength=m)]
+             lambda m: rr.find_ocf_irreversibility(U4, max_value=1, max_strength=m),
+             # one world has no proposition to revise by, so the bound is checked at entry
+             lambda m: rr.find_irreversibility(rr.lexicographic_rule, plain_universe(1), m)]
     for call in calls:
         with pytest.raises(InputError, match="max strength must be at least 0"):
             call(-1)
@@ -431,9 +433,44 @@ def test_find_irreversibility_finds_nothing_for_a_rule_that_changes_nothing(uni)
     assert rr.find_irreversibility(unchanged_rule, uni) is None
 
 
-def test_find_irreversibility_small_universe_rejected():
-    with pytest.raises(InputError):
-        rr.find_irreversibility(rr.lexicographic_rule, plain_universe(3))
+def test_find_irreversibility_from_three_worlds():
+    # Three worlds are enough for a witness; below three no step is irreversible.
+    u = plain_universe(3)
+    believe_w1 = EpistemicInput(u.prop("w1"), Attitude.BELIEVE)
+    lex = rr.find_irreversibility(rr.lexicographic_rule, u)
+    assert lex.model == rr.RankedModel.from_labels(u, ["w0"], ["w1", "w2"])
+    assert lex.epistemic_input == believe_w1
+    spohn = rr.find_irreversibility(rr.spohn_rule(1), u)
+    assert spohn.model == rr.RankedModel.from_labels(u, ["w0"], ["w1"], ["w2"])
+    assert spohn.epistemic_input == believe_w1
+    for n in (1, 2):
+        for rule in (rr.lexicographic_rule, rr.spohn_rule(1)):
+            assert rr.find_irreversibility(rule, plain_universe(n)) is None
+
+
+# Steps (every ranked model, every non-degenerate A, every attitude) and the
+# irreversible ones per rule, by worlds.  Natural attains the least number any
+# B9/B10 rule must have at three worlds, 48; the four-world counts are the
+# ROADMAP's census.
+IRREVERSIBLE_STEPS = {
+    2: (18, {"lex": 0, "natural": 0, "flip": 0}),
+    3: (234, {"lex": 72, "natural": 48, "flip": 120, "spohn:1": 24}),
+    4: (3150, {"lex": 1728, "natural": 864, "spohn:1": 624}),
+}
+
+
+@pytest.mark.parametrize("n", IRREVERSIBLE_STEPS)
+def test_irreversible_steps_counted_through_the_public_api(n):
+    u = plain_universe(n)
+    steps, counts = IRREVERSIBLE_STEPS[n]
+    inputs = [EpistemicInput(p, attitude)
+              for p in list(u.propositions())[1:-1] for attitude in Attitude]
+    models = list(rr.enumerate_ranked_models(u))
+    assert len(models) * len(inputs) == steps
+    for name, count in counts.items():
+        rule = rr.rule_by_name(name)
+        assert sum(not rr.check_reversibility(rule, model, e).passed
+                   for model in models for e in inputs) == count, name
 
 
 def test_find_ocf_irreversibility_absent():
@@ -529,16 +566,22 @@ def _forbid_enumeration(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_ranked_models", refuse)
 
 
-@pytest.mark.parametrize("worlds", [4, 5, 6])
+@pytest.mark.parametrize("worlds", [3, 4, 5, 6])
 def test_counterexample_never_enumerates(monkeypatch, worlds):
     _forbid_enumeration(monkeypatch)
     assert rr.counterexample_verify(rr.counterexample_fixture((worlds - 3, 1, 1, 1))).passed
 
 
 def test_counterexample_fixture_validation():
-    with pytest.raises(InputError):
-        rr.counterexample_fixture((0, 1, 1, 1))
-    for sizes in ((1.5, 1, 1, 1), (True, 1, 1, 1), (1, 1, 1, "2")):
+    # The first group may be empty: A is then the second group alone.
+    fx = rr.counterexample_fixture((0, 1, 1, 1))
+    assert fx.universe.worlds == ("w2a", "w3a", "w4a")
+    assert fx.prop_a == fx.universe.prop("w2a")
+    for sizes in ((-1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1), (1, 1, 1, 1, 1)):
+        with pytest.raises(InputError,
+                           match="^fixture needs four groups, all but the first non-empty$"):
+            rr.counterexample_fixture(sizes)
+    for sizes in ((1.5, 1, 1, 1), (True, 1, 1, 1), (1, 1, 1, "2"), None, 4):
         with pytest.raises(InputError, match="^fixture group sizes must be ints"):
             rr.counterexample_fixture(sizes)
 
