@@ -36,6 +36,7 @@ from .verify import (
     DEFAULT_MAX_STRENGTH,
     CounterexampleReport,
     _check_strength_bound,
+    _count_ranked_models,
     check_agm,
     check_degree_conditions,
     check_iteration_axiom,
@@ -43,16 +44,15 @@ from .verify import (
     check_reversibility,
     counterexample_fixture,
     counterexample_verify,
-    enumerate_ranked_models,
+    enumerate_ranked_models,  # unused here, but perfbench/tracing.py patches it on cli
     representation_check,
     revision_table,
 )
-from .worlds import Proposition, Universe, check_world_bound
+from .worlds import Proposition, check_world_bound
 
-# World bounds on what the command line takes: the default of --max-worlds and
-# the largest --worlds of counterexample, then the largest --worlds of enumerate.
+# The world bound on what the command line takes: the default of --max-worlds
+# and the largest --worlds of counterexample and of enumerate.
 DEFAULT_CHECK_BOUND = 8
-DEFAULT_ENUMERATION_BOUND = 6
 
 _SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+([0-9]+))?\s*")
 
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="count ranked models over n worlds")
     p.set_defaults(handler=_cmd_enumerate)
-    p.add_argument("--worlds", type=int, required=True)
+    p.add_argument("--worlds", type=int, required=True, help=f"1 to {DEFAULT_CHECK_BOUND}")
 
     p = sub.add_parser("represent", help="recover each ranked state from its revision table")
     p.set_defaults(handler=_cmd_represent)
@@ -382,10 +382,8 @@ def render_counterexample(report: CounterexampleReport) -> str:
 def _cmd_enumerate(args) -> int:
     if args.worlds < 1:
         raise InputError("need at least one world")
-    check_world_bound(args.worlds, DEFAULT_ENUMERATION_BOUND)
-    universe = Universe(tuple(f"w{i + 1}" for i in range(args.worlds)))
-    count = sum(1 for _ in enumerate_ranked_models(universe))
-    print(count)
+    check_world_bound(args.worlds, DEFAULT_CHECK_BOUND)
+    print(_count_ranked_models(args.worlds))
     return 0
 
 

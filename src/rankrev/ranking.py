@@ -191,4 +191,6 @@ def rpm_from_ocf(ocf: OCF) -> RankedModel:
 
 def ocf_from_rpm(model: RankedModel) -> OCF:
     """Identify each world's degree of disbelief with its rank."""
+    if not isinstance(model, RankedModel):
+        raise InputError(f"ocf_from_rpm needs a RankedModel, got {model!r}")
     return OCF(model.universe, model.ranks())

@@ -135,6 +135,12 @@ class RevisionRule(_Value):
 def apply_rule(rule: RevisionRule, model: RankedModel,
                epistemic_input: EpistemicInput) -> RankedModel:
     """Validated rule application: a revisable input, an output partitioning the universe."""
+    if not isinstance(rule, RevisionRule):
+        raise InputError(f"apply_rule needs a RevisionRule, got {rule!r}")
+    if not isinstance(model, RankedModel):
+        raise InputError(f"apply_rule needs a RankedModel, got {model!r}")
+    if not isinstance(epistemic_input, EpistemicInput):
+        raise InputError(f"apply_rule needs an EpistemicInput, got {epistemic_input!r}")
     _require_revisable(model, epistemic_input.proposition)
     return _from_masks(model.universe, _posterior(rule, model._masks, epistemic_input))
 

@@ -52,8 +52,9 @@ compares the table on masks and builds only the model it returns.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from functools import cache, partial
-from typing import Iterator, Mapping, Sequence
+from math import comb
 
 from .errors import InputError
 from .ranking import OCF, RankedModel, _from_masks, _ranks, ocf_from_rpm, rpm_from_ocf
@@ -125,6 +126,8 @@ def check_agm(model: RankedModel) -> AxiomReport:
     algebra over that table (``_agm_pairs``), and propositions are built
     only for a witness.
     """
+    if not isinstance(model, RankedModel):
+        raise InputError(f"check_agm needs a RankedModel, got {model!r}")
     u = model.universe
     prior = model._masks[0]
     size = 1 << len(u.worlds)
@@ -252,9 +255,13 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
     ``cases`` are those of that walk over every A in turn.  The public
     ``revise`` only words the witness.
     """
+    if not isinstance(rule, RevisionRule):
+        raise InputError(f"check_iteration_axiom needs a RevisionRule, got {rule!r}")
     axiom = axiom.upper() if isinstance(axiom, str) else axiom
     if axiom not in ("B9", "B10"):
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
+    if not isinstance(model, RankedModel):
+        raise InputError(f"check_iteration_axiom needs a RankedModel, got {model!r}")
     u = model.universe
     full = u.tautology().mask
     prior = model._masks
@@ -296,6 +303,10 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
     runs once on block masks (``_posterior``), and the posterior's rank
     vector is read off its masks; no ranked model is built.
     """
+    if not isinstance(rule, RevisionRule):
+        raise InputError(f"check_order_preservation needs a RevisionRule, got {rule!r}")
+    if not isinstance(model, RankedModel):
+        raise InputError(f"check_order_preservation needs a RankedModel, got {model!r}")
     epistemic_input = EpistemicInput(prop, attitude)
     _require_revisable(model, prop)
     blocks = _posterior(rule, model._masks, epistemic_input)
@@ -334,6 +345,8 @@ def check_degree_conditions(model: RankedModel) -> AxiomReport:
     tables built once per proposition; set algebra over them
     (``_degree_pairs``) compares the sides for every pair.
     """
+    if not isinstance(model, RankedModel):
+        raise InputError(f"check_degree_conditions needs a RankedModel, got {model!r}")
     u = model.universe
     cases = 0
     for w in u.worlds:
@@ -411,13 +424,15 @@ def enumerate_ranked_models(universe: Universe) -> Iterator[RankedModel]:
 
     Canonical order: ascending number of blocks, then lexicographic on the
     world-to-block assignment vector in world index order.  The count is the
-    ordered Bell number of the universe's size.
+    ordered Bell number of the universe's size (``_count_ranked_models``).
 
     Only surjective assignments are visited: a depth-first walk places the
     worlds in index order, tries blocks in ascending order, and skips a
     block whenever the blocks still empty would outnumber the worlds left.
     The walk is lazy; each block proposition is built once, on first use.
     """
+    if not isinstance(universe, Universe):
+        raise InputError(f"enumerate_ranked_models needs a Universe, got {universe!r}")
     n = len(universe.worlds)
     block = cache(partial(Proposition, universe))
 
@@ -437,6 +452,16 @@ def enumerate_ranked_models(universe: Universe) -> Iterator[RankedModel]:
 
     for k in range(1, n + 1):
         yield from place(0, [0] * k, k)
+
+
+def _count_ranked_models(n: int) -> int:
+    """The number of ranked models over n worlds, the ordered Bell number,
+    without building them: a first block of k worlds, then a ranked model of
+    the other n − k, so a(0) = 1 and a(m) = Σ_{k=1..m} C(m, k)·a(m − k)."""
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(comb(m, k) * counts[m - k] for k in range(1, m + 1)))
+    return counts[n]
 
 
 def constrained_successors(model: RankedModel,
@@ -472,7 +497,6 @@ def constrained_successors(model: RankedModel,
 
 def _reversal_candidates(rule: RevisionRule, prop: Proposition,
                          max_strength: int) -> list[EpistemicInput]:
-    _check_strength_bound(max_strength)
     if not rule.strength_based:
         return [EpistemicInput(prop, att) for att in Attitude]
     return ([EpistemicInput(prop, Attitude.DISBELIEVE, s) for s in range(max_strength, 0, -1)]
@@ -502,6 +526,7 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
         raise InputError(f"check_reversibility needs a RankedModel, got {model!r}")
     if not isinstance(epistemic_input, EpistemicInput):
         raise InputError(f"check_reversibility needs an EpistemicInput, got {epistemic_input!r}")
+    _check_strength_bound(max_strength)
     candidates = _reversal_candidates(rule, epistemic_input.proposition, max_strength)
     _require_revisable(model, epistemic_input.proposition)
     reversal = _reversal(rule, model._masks, epistemic_input, candidates)
@@ -659,6 +684,8 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
     not help: both starts induce equal degrees, and strength-conditioning the
     successor never reaches both.
     """
+    if fixture is not None and not isinstance(fixture, CounterexampleFixture):
+        raise InputError(f"counterexample_verify needs a CounterexampleFixture, got {fixture!r}")
     _check_strength_bound(max_strength)
     fx = fixture if fixture is not None else counterexample_fixture()
     a = fx.prop_a
@@ -710,6 +737,8 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
 
 def revision_table(model: RankedModel) -> dict[Proposition, Proposition]:
     """The revision function the model defines, tabulated over non-empty propositions."""
+    if not isinstance(model, RankedModel):
+        raise InputError(f"revision_table needs a RankedModel, got {model!r}")
     return {p: revise(model, p) for p in model.universe.propositions() if not p.is_empty}
 
 
@@ -722,6 +751,8 @@ def representation_check(table: Mapping[Proposition, Proposition]) -> RankedMode
     worlds not yet placed, as masks, then checks each entry of the given table
     against them on masks; only a table they reproduce builds a ranked model.
     """
+    if not isinstance(table, Mapping):
+        raise InputError(f"representation_check needs a Mapping, got {table!r}")
     if not table:
         raise InputError("empty revision table")
     if not all(isinstance(p, Proposition) and isinstance(t, Proposition) for p, t in table.items()):

@@ -80,17 +80,26 @@ def long_script(tmp_path, rule: str) -> Path:
     return path
 
 
-def test_enumerate(capsys):
+def test_enumerate(capsys, monkeypatch):
+    # The count is computed, not walked: no ranked model is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or walked a ranked model")
+
+    monkeypatch.setattr(rankrev.RankedModel, "__init__", refuse)
+    monkeypatch.setattr(rankrev.verify, "enumerate_ranked_models", refuse)
+    monkeypatch.setattr(rankrev.cli, "enumerate_ranked_models", refuse)
     code, out, _ = run(capsys, "enumerate", "--worlds", "4")
     assert code == 0
     assert out == "75\n"
     assert run(capsys, "enumerate", "--worlds", "5")[1] == "541\n"
+    assert run(capsys, "enumerate", "--worlds", "6") == (0, "4683\n", "")
+    assert run(capsys, "enumerate", "--worlds", "7") == (0, "47293\n", "")
+    assert run(capsys, "enumerate", "--worlds", "8") == (0, "545835\n", "")
 
 
 def test_enumerate_over_bound(capsys):
-    code, _, err = run(capsys, "enumerate", "--worlds", "9")
-    assert code == 2
-    assert "error" in err
+    assert run(capsys, "enumerate", "--worlds", "9") == (
+        2, "", "error: universe has 9 worlds, over the bound of 8\n")
     assert run(capsys, "enumerate", "--worlds", "0") == (2, "", "error: need at least one world\n")
 
 
@@ -550,9 +559,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_enumerate_over_the_bound_builds_no_universe(capsys, monkeypatch):
-    monkeypatch.setattr(rankrev.cli, "Universe", _refuse)
+    monkeypatch.setattr(rankrev.cli, "_count_ranked_models", _refuse)
     assert run(capsys, "enumerate", "--worlds", "300000") == (
-        2, "", "error: universe has 300000 worlds, over the bound of 6\n")
+        2, "", "error: universe has 300000 worlds, over the bound of 8\n")
 
 
 @pytest.mark.parametrize("argv", [("check", "--axioms", "agm"), ("check", "--axioms", "b9"),

@@ -77,7 +77,9 @@ CASES = {
          (lambda: rr.Universe((X, Y), ("A",), ((1,), (0,))), "valuation entries must be bools"),
          (lambda: rr.Universe.from_atoms((1,)), "auto worlds need single-letter atoms, got 1"),
          (lambda: rr.find_irreversibility(rr.lexicographic_rule, None),
-          "find_irreversibility needs a Universe, got None"))),
+          "find_irreversibility needs a Universe, got None"),
+         (lambda: next(rr.enumerate_ranked_models(None)),
+          "enumerate_ranked_models needs a Universe, got None"))),
     "Proposition": Case(
         lambda: rr.Proposition(U2, 1),
         lambda: rr.Proposition(universe=rr.Universe((X, Y)), mask=1),
@@ -86,7 +88,8 @@ CASES = {
          (lambda: rr.Proposition(U2, -1), "proposition mask out of range for its universe"),
          (lambda: rr.Proposition(U2, 3.0), "proposition mask must be an int, got 3.0"),
          (lambda: rr.Proposition(U2, "3"), "proposition mask must be an int, got '3'"),
-         (lambda: rr.Proposition(U2, True), "proposition mask must be an int, got True"))),
+         (lambda: rr.Proposition(U2, True), "proposition mask must be an int, got True"),
+         (lambda: rr.representation_check(1), "representation_check needs a Mapping, got 1"))),
     "RankedModel": Case(
         model_xy,
         lambda: rr.RankedModel(blocks=[P_X, P_Y]),
@@ -114,7 +117,18 @@ CASES = {
          (lambda: rr.check_reversibility(rr.lexicographic_rule, None, believe_x()),
           "check_reversibility needs a RankedModel, got None"),
          (lambda: rr.constrained_successors(P_X, believe_x()),
-          "constrained_successors needs a RankedModel, got Proposition(mask=1)"))),
+          "constrained_successors needs a RankedModel, got Proposition(mask=1)"),
+         (lambda: rr.check_agm(None), "check_agm needs a RankedModel, got None"),
+         (lambda: rr.check_iteration_axiom(rr.lexicographic_rule, "B9", None),
+          "check_iteration_axiom needs a RankedModel, got None"),
+         (lambda: rr.check_order_preservation(rr.lexicographic_rule, None, P_X),
+          "check_order_preservation needs a RankedModel, got None"),
+         (lambda: rr.apply_rule(rr.lexicographic_rule, None, believe_x()),
+          "apply_rule needs a RankedModel, got None"),
+         (lambda: rr.revision_table(None), "revision_table needs a RankedModel, got None"),
+         (lambda: rr.check_degree_conditions(None),
+          "check_degree_conditions needs a RankedModel, got None"),
+         (lambda: rr.ocf_from_rpm(None), "ocf_from_rpm needs a RankedModel, got None"))),
     "OCF": Case(
         lambda: rr.OCF(U2, (0, 2)),
         lambda: rr.OCF(universe=U2, values=[0, 2]),
@@ -143,7 +157,9 @@ CASES = {
          (lambda: rr.check_reversibility(rr.lexicographic_rule, model_xy(), None),
           "check_reversibility needs an EpistemicInput, got None"),
          (lambda: rr.constrained_successors(model_xy(), P_X),
-          "constrained_successors needs an EpistemicInput, got Proposition(mask=1)"))),
+          "constrained_successors needs an EpistemicInput, got Proposition(mask=1)"),
+         (lambda: rr.apply_rule(rr.lexicographic_rule, model_xy(), None),
+          "apply_rule needs an EpistemicInput, got None"))),
     "RevisionRule": Case(
         lambda: rr.RevisionRule("max", max),
         lambda: rr.RevisionRule(name="max", transform=max, strength_based=False),
@@ -154,7 +170,13 @@ CASES = {
          (lambda: rr.check_reversibility("lex", model_xy(), believe_x()),
           "check_reversibility needs a RevisionRule, got 'lex'"),
          (lambda: rr.rule_by_name(1), "rule_by_name needs a str, got 1"),
-         (lambda: rr.rule_by_name(None), "rule_by_name needs a str, got None"))),
+         (lambda: rr.rule_by_name(None), "rule_by_name needs a str, got None"),
+         (lambda: rr.check_iteration_axiom(None, "B9", model_xy()),
+          "check_iteration_axiom needs a RevisionRule, got None"),
+         (lambda: rr.check_order_preservation(None, model_xy(), P_X),
+          "check_order_preservation needs a RevisionRule, got None"),
+         (lambda: rr.apply_rule(None, model_xy(), believe_x()),
+          "apply_rule needs a RevisionRule, got None"))),
     "Witness": Case(
         witness,
         lambda: rr.Witness(description="why", model=model_xy(), proposition=None, second=None,
@@ -170,7 +192,9 @@ CASES = {
         fixture_xy,
         lambda: rr.CounterexampleFixture(universe=U2, prop_a=P_X, r1=model_xy(), r2=model_yx(),
                                          r3=model_xy()),
-        FIXTURE_REPR, "r1"),
+        FIXTURE_REPR, "r1",
+        ((lambda: rr.counterexample_verify("x"),
+          "counterexample_verify needs a CounterexampleFixture, got 'x'"),)),
     "CounterexampleReport": Case(
         lambda: rr.CounterexampleReport("counterexample", True, 3, None, None, fixture_xy(),
                                         (model_xy(),), degrees=((0, 1), (0, 1))),
