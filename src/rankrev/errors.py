@@ -1,4 +1,4 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the one check of an argument's type."""
 
 
 class InputError(ValueError):
@@ -13,3 +13,12 @@ class ParseError(InputError):
         self.message = message
         self.line = line
         self.column = column
+
+
+def _require(value, kind: type, where: str):
+    """``value``, if it is a ``kind``; else "<where> needs a <Kind>, got <value!r>"."""
+    if not isinstance(value, kind):
+        name = kind.__name__
+        article = "an" if name[0] in "AEIO" else "a"
+        raise InputError(f"{where} needs {article} {name}, got {value!r}")
+    return value

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, _require
 from .worlds import Proposition, Universe
 
 # Deepest accepted nesting: at most this many '~', '(' and '->' enclose any
@@ -112,7 +112,8 @@ def parse_expression(text: str, universe: Universe) -> Proposition:
     A ``ParseError`` is at line 1 and a 1-based column of ``text``; callers
     reading a file re-raise it at their own line and column.
     """
-    parser = _Parser(text, universe)
+    _require(text, str, "parse_expression")
+    parser = _Parser(text, _require(universe, Universe, "parse_expression"))
     mask, _ = parser.expr(0)
     trailing, column = parser.peek()
     if trailing:

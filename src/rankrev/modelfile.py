@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import re
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, _require
 from .expressions import parse_expression
 from .ranking import OCF, RankedModel
 from .worlds import Proposition, Universe, _Value, check_world_bound
@@ -62,6 +62,8 @@ def read_text(path: str, what: str) -> str:
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {what} {path!r}: not UTF-8 "
                          f"({exc.reason} at offset {exc.start})") from None
+    except ValueError as exc:  # a path open() refuses, such as one holding a NUL
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from None
 
 
 def load_model(path: str, max_worlds: int | None = None) -> ModelFile:
@@ -74,6 +76,7 @@ def parse_model(text: str, max_worlds: int | None = None) -> ModelFile:
     A universe over ``max_worlds`` worlds, or over ``MAX_MODEL_WORLDS`` in any
     case, is an input error.
     """
+    _require(text, str, "parse_model")
     return _ModelReader(max_worlds).read(text)
 
 
@@ -262,7 +265,7 @@ def format_model(model_file: ModelFile) -> str:
     Expression-defined propositions print in explicit world-set form, since
     only their denotations are retained.
     """
-    u = model_file.universe
+    u = _require(model_file, ModelFile, "format_model").universe
     lines = []
     if u.atoms:
         lines.append("atoms " + " ".join(u.atoms))
@@ -284,7 +287,7 @@ def format_model(model_file: ModelFile) -> str:
 
 def resolve_proposition(model_file: ModelFile, text: str) -> Proposition:
     """A named proposition if ``text`` is exactly a declared name, else an expression."""
-    name = text.strip()
-    if name in model_file.props:
+    name = _require(text, str, "resolve_proposition").strip()
+    if name in _require(model_file, ModelFile, "resolve_proposition").props:
         return model_file.props[name]
     return parse_expression(text, model_file.universe)

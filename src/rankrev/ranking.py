@@ -15,9 +15,9 @@ representations under iterated change.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 
-from .errors import InputError
+from .errors import InputError, _require
 from .worlds import Proposition, Universe, _indices, _require_same_universe, _set, _Value
 
 
@@ -47,11 +47,14 @@ class RankedModel(_Value):
 
     @classmethod
     def from_labels(cls, universe: Universe, *blocks: list[str] | tuple[str, ...]) -> RankedModel:
-        return cls(tuple(universe.prop(*b) for b in blocks))
+        _require(universe, Universe, "from_labels")
+        return cls(tuple(universe.prop(*_require(b, Iterable, "from_labels")) for b in blocks))
 
     @classmethod
     def from_ranks(cls, universe: Universe, ranks: tuple[int, ...]) -> RankedModel:
         """Inverse of :meth:`ranks`; rank values must be 0..k each occupied."""
+        _require(universe, Universe, "from_ranks")
+        _require(ranks, Collection, "from_ranks")
         if len(ranks) != len(universe.worlds) or any(type(r) is not int or r < 0 for r in ranks):
             raise InputError("one non-negative int rank per world required")
         masks = [0] * (max(ranks) + 1)
@@ -77,9 +80,7 @@ class RankedModel(_Value):
 
     def first_consistent_block(self, prop: Proposition) -> int | None:
         """Index of the first block meeting ``prop``; None iff ``prop`` is empty."""
-        if not isinstance(prop, Proposition):
-            raise InputError(f"first_consistent_block needs a Proposition, got {prop!r}")
-        _require_same_universe(self.blocks[0], prop)
+        _require_same_universe(self.blocks[0], prop, "first_consistent_block")
         for i, block in enumerate(self._masks):
             if block & prop.mask:
                 return i
@@ -92,9 +93,7 @@ class RankedModel(_Value):
         proposition; computed from world ranks so the two routes stay
         independently checkable.
         """
-        if not isinstance(prop, Proposition):
-            raise InputError(f"disbelief_degree needs a Proposition, got {prop!r}")
-        _require_same_universe(self.blocks[0], prop)
+        _require_same_universe(self.blocks[0], prop, "disbelief_degree")
         if prop.is_empty:
             raise InputError("degree of the contradiction is undefined")
         ranks = self.ranks()
@@ -115,7 +114,8 @@ class OCF(_Value):
     _unshown = ("universe",)
 
     def __init__(self, universe: Universe, values: Iterable[int]):
-        values = tuple(values)
+        _require(universe, Universe, "OCF")
+        values = tuple(_require(values, Iterable, "OCF"))
         if len(values) != len(universe.worlds):
             raise InputError("one value per world required")
         if any(type(v) is not int or v < 0 for v in values):
@@ -127,15 +127,15 @@ class OCF(_Value):
 
     @classmethod
     def from_map(cls, universe: Universe, values: Mapping[str, int]) -> OCF:
+        _require(universe, Universe, "from_map")
+        _require(values, Mapping, "from_map")
         if set(values) != set(universe.worlds):
             raise InputError("value map must cover exactly the universe's worlds")
         return cls(universe, tuple(values[w] for w in universe.worlds))
 
     def degree(self, prop: Proposition) -> int:
         """Minimum value over the proposition's worlds; undefined for the contradiction."""
-        if not isinstance(prop, Proposition):
-            raise InputError(f"degree needs a Proposition, got {prop!r}")
-        _require_same_universe(self, prop)
+        _require_same_universe(self, prop, "degree")
         if prop.is_empty:
             raise InputError("degree of the contradiction is undefined")
         return min(self.values[i] for i in prop.indices())
@@ -185,12 +185,12 @@ def rpm_from_ocf(ocf: OCF) -> RankedModel:
     Each value is replaced by its position among the distinct values, and
     the resulting rank vector is read by :meth:`RankedModel.from_ranks`.
     """
+    _require(ocf, OCF, "rpm_from_ocf")
     rank = {v: r for r, v in enumerate(sorted(set(ocf.values)))}
     return RankedModel.from_ranks(ocf.universe, tuple(rank[v] for v in ocf.values))
 
 
 def ocf_from_rpm(model: RankedModel) -> OCF:
     """Identify each world's degree of disbelief with its rank."""
-    if not isinstance(model, RankedModel):
-        raise InputError(f"ocf_from_rpm needs a RankedModel, got {model!r}")
+    _require(model, RankedModel, "ocf_from_rpm")
     return OCF(model.universe, model.ranks())

@@ -29,11 +29,11 @@ implementation's choice, constrained to reproduce the suspended belief set.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from itertools import zip_longest
-from typing import Callable, Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, _require
 from .ranking import OCF, RankedModel, _from_masks, _require_partition
 from .worlds import Proposition, _require_same_universe, _Value
 
@@ -42,6 +42,10 @@ class Attitude(Enum):
     BELIEVE = "believe"
     DISBELIEVE = "disbelieve"
     SUSPEND = "suspend"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise InputError(f"unknown attitude {value!r} (expected believe, disbelieve or suspend)")
 
 
 class EpistemicInput(_Value):
@@ -87,11 +91,8 @@ def revise(model: RankedModel, prop: Proposition) -> Proposition:
     The new belief set is every proposition the returned content entails.
     The content is empty exactly when ``prop`` is the contradiction.
     """
-    if not isinstance(model, RankedModel):
-        raise InputError(f"revise needs a RankedModel, got {model!r}")
-    if not isinstance(prop, Proposition):
-        raise InputError(f"revise needs a Proposition, got {prop!r}")
-    _require_same_universe(model, prop)
+    _require(model, RankedModel, "revise")
+    _require_same_universe(model, prop, "revise")
     return Proposition(model.universe, _revised(model._masks, prop.mask))
 
 
@@ -106,10 +107,8 @@ def suspend_content(model: RankedModel, prop: Proposition) -> Proposition:
 
 def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Proposition:
     """The belief content any rule must produce for the given input."""
-    if not isinstance(model, RankedModel):
-        raise InputError(f"required_content needs a RankedModel, got {model!r}")
-    if not isinstance(epistemic_input, EpistemicInput):
-        raise InputError(f"required_content needs an EpistemicInput, got {epistemic_input!r}")
+    _require(model, RankedModel, "required_content")
+    _require(epistemic_input, EpistemicInput, "required_content")
     prop = epistemic_input.proposition
     if epistemic_input.attitude is Attitude.BELIEVE:
         return revise(model, prop)
@@ -126,6 +125,9 @@ class RevisionRule(_Value):
 
     def __init__(self, name: str, transform: Callable[[tuple, EpistemicInput], Sequence[int]],
                  strength_based: bool = False):
+        _require(name, str, "RevisionRule")
+        _require(transform, Callable, "RevisionRule")
+        _require(strength_based, bool, "RevisionRule")
         self._fill(name, transform, strength_based)
 
     def __call__(self, model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
@@ -135,25 +137,27 @@ class RevisionRule(_Value):
 def apply_rule(rule: RevisionRule, model: RankedModel,
                epistemic_input: EpistemicInput) -> RankedModel:
     """Validated rule application: a revisable input, an output partitioning the universe."""
-    if not isinstance(rule, RevisionRule):
-        raise InputError(f"apply_rule needs a RevisionRule, got {rule!r}")
-    if not isinstance(model, RankedModel):
-        raise InputError(f"apply_rule needs a RankedModel, got {model!r}")
-    if not isinstance(epistemic_input, EpistemicInput):
-        raise InputError(f"apply_rule needs an EpistemicInput, got {epistemic_input!r}")
-    _require_revisable(model, epistemic_input.proposition)
+    _require(rule, RevisionRule, "apply_rule")
+    _require(model, RankedModel, "apply_rule")
+    _require(epistemic_input, EpistemicInput, "apply_rule")
+    _require_revisable(model, epistemic_input.proposition, "apply_rule")
     return _from_masks(model.universe, _posterior(rule, model._masks, epistemic_input))
 
 
 def _posterior(rule: RevisionRule, blocks: tuple[int, ...],
                epistemic_input: EpistemicInput) -> tuple[int, ...]:
     """The rule's posterior block masks for prior ``blocks``, checked to partition their union."""
-    return _require_partition(tuple(rule.transform(blocks, epistemic_input)), sum(blocks))
+    masks = rule.transform(blocks, epistemic_input)
+    try:  # the output only: a TypeError raised by the transform itself is left as it is
+        masks = tuple(masks)
+    except TypeError:
+        raise InputError(f"rule output must be an iterable of block masks, got {masks!r}") from None
+    return _require_partition(masks, sum(blocks))
 
 
-def _require_revisable(state: RankedModel | OCF, prop: Proposition):
+def _require_revisable(state: RankedModel | OCF, prop: Proposition, where: str):
     """The contract of every revision input: over the state's universe, neither ⊥ nor ⊤."""
-    _require_same_universe(state, prop)
+    _require_same_universe(state, prop, where)
     if prop.is_empty or prop.is_full:
         raise InputError("revision rules reject the contradiction and the tautology")
 
@@ -214,9 +218,10 @@ def spohn_conditionalize(ocf: OCF, prop: Proposition, alpha: int) -> OCF:
     a negative strength means believing the complement.  The result is
     normalized by construction and assigns the non-target side degree |alpha|.
     """
+    _require(ocf, OCF, "spohn_conditionalize")
     if type(alpha) is not int:
         raise InputError(f"strength must be an int, got {alpha!r}")
-    _require_revisable(ocf, prop)
+    _require_revisable(ocf, prop, "spohn_conditionalize")
     target = prop if alpha >= 0 else prop.complement()
     shift_in = ocf.degree(target)
     shift_out = ocf.degree(target.complement()) - abs(alpha)
@@ -233,7 +238,8 @@ def reverse_strength(ocf: OCF, prop: Proposition) -> int:
     Conditionalizing any (prop, alpha)-successor of ``ocf`` by (prop, beta)
     with the returned beta restores ``ocf`` exactly.
     """
-    _require_revisable(ocf, prop)
+    _require(ocf, OCF, "reverse_strength")
+    _require_revisable(ocf, prop, "reverse_strength")
     return ocf.degree(prop.complement()) - ocf.degree(prop)
 
 
@@ -269,8 +275,7 @@ def spohn_rule(alpha: int) -> RevisionRule:
 
 def rule_by_name(text: str) -> RevisionRule:
     """Look up ``lex``, ``natural``, ``flip``, or ``spohn:N``."""
-    if not isinstance(text, str):
-        raise InputError(f"rule_by_name needs a str, got {text!r}")
+    _require(text, str, "rule_by_name")
     if text == "lex":
         return lexicographic_rule
     if text == "natural":

@@ -56,7 +56,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from functools import cache, partial
 from math import comb
 
-from .errors import InputError
+from .errors import InputError, _require
 from .ranking import OCF, RankedModel, _from_masks, _ranks, ocf_from_rpm, rpm_from_ocf
 from .revision import (
     Attitude,
@@ -126,8 +126,7 @@ def check_agm(model: RankedModel) -> AxiomReport:
     algebra over that table (``_agm_pairs``), and propositions are built
     only for a witness.
     """
-    if not isinstance(model, RankedModel):
-        raise InputError(f"check_agm needs a RankedModel, got {model!r}")
+    _require(model, RankedModel, "check_agm")
     u = model.universe
     prior = model._masks[0]
     size = 1 << len(u.worlds)
@@ -255,13 +254,11 @@ def check_iteration_axiom(rule: RevisionRule, axiom: str, model: RankedModel) ->
     ``cases`` are those of that walk over every A in turn.  The public
     ``revise`` only words the witness.
     """
-    if not isinstance(rule, RevisionRule):
-        raise InputError(f"check_iteration_axiom needs a RevisionRule, got {rule!r}")
+    _require(rule, RevisionRule, "check_iteration_axiom")
     axiom = axiom.upper() if isinstance(axiom, str) else axiom
     if axiom not in ("B9", "B10"):
         raise InputError(f"unknown iteration axiom {axiom!r} (expected B9 or B10)")
-    if not isinstance(model, RankedModel):
-        raise InputError(f"check_iteration_axiom needs a RankedModel, got {model!r}")
+    _require(model, RankedModel, "check_iteration_axiom")
     u = model.universe
     full = u.tautology().mask
     prior = model._masks
@@ -303,12 +300,10 @@ def check_order_preservation(rule: RevisionRule, model: RankedModel, prop: Propo
     runs once on block masks (``_posterior``), and the posterior's rank
     vector is read off its masks; no ranked model is built.
     """
-    if not isinstance(rule, RevisionRule):
-        raise InputError(f"check_order_preservation needs a RevisionRule, got {rule!r}")
-    if not isinstance(model, RankedModel):
-        raise InputError(f"check_order_preservation needs a RankedModel, got {model!r}")
+    _require(rule, RevisionRule, "check_order_preservation")
+    _require(model, RankedModel, "check_order_preservation")
     epistemic_input = EpistemicInput(prop, attitude)
-    _require_revisable(model, prop)
+    _require_revisable(model, prop, "check_order_preservation")
     blocks = _posterior(rule, model._masks, epistemic_input)
     worlds, mask = model.universe.worlds, prop.mask
     before, after = model.ranks(), _ranks(blocks, len(worlds))
@@ -345,8 +340,7 @@ def check_degree_conditions(model: RankedModel) -> AxiomReport:
     tables built once per proposition; set algebra over them
     (``_degree_pairs``) compares the sides for every pair.
     """
-    if not isinstance(model, RankedModel):
-        raise InputError(f"check_degree_conditions needs a RankedModel, got {model!r}")
+    _require(model, RankedModel, "check_degree_conditions")
     u = model.universe
     cases = 0
     for w in u.worlds:
@@ -431,8 +425,7 @@ def enumerate_ranked_models(universe: Universe) -> Iterator[RankedModel]:
     block whenever the blocks still empty would outnumber the worlds left.
     The walk is lazy; each block proposition is built once, on first use.
     """
-    if not isinstance(universe, Universe):
-        raise InputError(f"enumerate_ranked_models needs a Universe, got {universe!r}")
+    _require(universe, Universe, "enumerate_ranked_models")
     n = len(universe.worlds)
     block = cache(partial(Proposition, universe))
 
@@ -474,12 +467,10 @@ def constrained_successors(model: RankedModel,
     block is the head of one chain or both heads joined.  Returned in
     canonical enumeration order.
     """
-    if not isinstance(model, RankedModel):
-        raise InputError(f"constrained_successors needs a RankedModel, got {model!r}")
-    if not isinstance(epistemic_input, EpistemicInput):
-        raise InputError(f"constrained_successors needs an EpistemicInput, got {epistemic_input!r}")
+    _require(model, RankedModel, "constrained_successors")
+    _require(epistemic_input, EpistemicInput, "constrained_successors")
     prop = epistemic_input.proposition
-    _require_revisable(model, prop)
+    _require_revisable(model, prop, "constrained_successors")
     first = required_content(model, epistemic_input).mask
     accepted = _side_chain(model._masks, prop.mask & ~first)
     rejected = _side_chain(model._masks, ~prop.mask & ~first)
@@ -520,15 +511,12 @@ def check_reversibility(rule: RevisionRule, model: RankedModel, epistemic_input:
     one maps the revised model back to the original.  The successful reversal
     input is reported, and ``cases`` counts the candidates tried.
     """
-    if not isinstance(rule, RevisionRule):
-        raise InputError(f"check_reversibility needs a RevisionRule, got {rule!r}")
-    if not isinstance(model, RankedModel):
-        raise InputError(f"check_reversibility needs a RankedModel, got {model!r}")
-    if not isinstance(epistemic_input, EpistemicInput):
-        raise InputError(f"check_reversibility needs an EpistemicInput, got {epistemic_input!r}")
+    _require(rule, RevisionRule, "check_reversibility")
+    _require(model, RankedModel, "check_reversibility")
+    _require(epistemic_input, EpistemicInput, "check_reversibility")
     _check_strength_bound(max_strength)
     candidates = _reversal_candidates(rule, epistemic_input.proposition, max_strength)
-    _require_revisable(model, epistemic_input.proposition)
+    _require_revisable(model, epistemic_input.proposition, "check_reversibility")
     reversal = _reversal(rule, model._masks, epistemic_input, candidates)
     if reversal is not None:
         return AxiomReport("R", True, candidates.index(reversal) + 1, reversal=reversal)
@@ -546,6 +534,8 @@ def check_ocf_reversibility(ocf: OCF, prop: Proposition, alpha: int,
     differences within each side, so only β = ``reverse_strength(ocf, prop)``
     can restore ``ocf``.  ``cases`` counts what a scan from -max_strength tries.
     """
+    _require(ocf, OCF, "check_ocf_reversibility")
+    _require(prop, Proposition, "check_ocf_reversibility")
     _check_strength_bound(max_strength)
     conditioned = spohn_conditionalize(ocf, prop, alpha)
     beta = reverse_strength(ocf, prop)
@@ -569,10 +559,8 @@ def find_irreversibility(rule: RevisionRule, universe: Universe,
     walk reads the block masks of every ranked model, Fubini(n) of them, and
     ``check_reversibility`` only words the witness.
     """
-    if not isinstance(rule, RevisionRule):
-        raise InputError(f"find_irreversibility needs a RevisionRule, got {rule!r}")
-    if not isinstance(universe, Universe):
-        raise InputError(f"find_irreversibility needs a Universe, got {universe!r}")
+    _require(rule, RevisionRule, "find_irreversibility")
+    _require(universe, Universe, "find_irreversibility")
     _check_strength_bound(max_strength)
     steps = []
     for prop in list(universe.propositions())[1:-1]:
@@ -600,6 +588,7 @@ def find_ocf_irreversibility(universe: Universe, max_value: int = DEFAULT_MAX_ST
     to max_strength.  Its first such A is every world but the last, since
     any smaller mask leaves a zero-valued world on both sides.
     """
+    _require(universe, Universe, "find_ocf_irreversibility")
     _check_strength_bound(max_strength)
     if type(max_value) is not int:
         raise InputError(f"max value must be an int, got {max_value!r}")
@@ -684,8 +673,8 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
     not help: both starts induce equal degrees, and strength-conditioning the
     successor never reaches both.
     """
-    if fixture is not None and not isinstance(fixture, CounterexampleFixture):
-        raise InputError(f"counterexample_verify needs a CounterexampleFixture, got {fixture!r}")
+    if fixture is not None:
+        _require(fixture, CounterexampleFixture, "counterexample_verify")
     _check_strength_bound(max_strength)
     fx = fixture if fixture is not None else counterexample_fixture()
     a = fx.prop_a
@@ -737,8 +726,7 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
 
 def revision_table(model: RankedModel) -> dict[Proposition, Proposition]:
     """The revision function the model defines, tabulated over non-empty propositions."""
-    if not isinstance(model, RankedModel):
-        raise InputError(f"revision_table needs a RankedModel, got {model!r}")
+    _require(model, RankedModel, "revision_table")
     return {p: revise(model, p) for p in model.universe.propositions() if not p.is_empty}
 
 
@@ -751,8 +739,7 @@ def representation_check(table: Mapping[Proposition, Proposition]) -> RankedMode
     worlds not yet placed, as masks, then checks each entry of the given table
     against them on masks; only a table they reproduce builds a ranked model.
     """
-    if not isinstance(table, Mapping):
-        raise InputError(f"representation_check needs a Mapping, got {table!r}")
+    _require(table, Mapping, "representation_check")
     if not table:
         raise InputError("empty revision table")
     if not all(isinstance(p, Proposition) and isinstance(t, Proposition) for p, t in table.items()):

@@ -9,11 +9,11 @@ every proposition the content entails, and the empty content believes all.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import product
 from operator import attrgetter
-from typing import Iterable, Iterator
 
-from .errors import InputError
+from .errors import InputError, _require
 
 _set = object.__setattr__
 
@@ -81,7 +81,8 @@ class Universe(_Value):
 
     def __init__(self, worlds: Iterable[str], atoms: Iterable[str] = (),
                  valuations: Iterable[Iterable[bool]] | None = None):
-        worlds, atoms = tuple(worlds), tuple(atoms)
+        worlds = tuple(_require(worlds, Iterable, "Universe"))
+        atoms = tuple(_require(atoms, Iterable, "Universe"))
         if not worlds:
             raise InputError("universe needs at least one world")
         if any(not isinstance(w, str) or not w for w in worlds):
@@ -93,7 +94,8 @@ class Universe(_Value):
         if len(set(atoms)) != len(atoms):
             raise InputError("atom names must be pairwise distinct")
         if valuations is not None:
-            valuations = tuple(tuple(row) for row in valuations)
+            rows = _require(valuations, Iterable, "Universe")
+            valuations = tuple(tuple(_require(row, Iterable, "Universe")) for row in rows)
             if len(valuations) != len(worlds):
                 raise InputError("one valuation row per world required")
             if any(len(row) != len(atoms) for row in valuations):
@@ -121,7 +123,7 @@ class Universe(_Value):
         lowercase for false, in declaration order; the first atom varies
         slowest with true listed first.  Requires single-letter atom names.
         """
-        atoms = tuple(atoms)
+        atoms = tuple(_require(atoms, Iterable, "from_atoms"))
         if not atoms:
             raise InputError("auto worlds need at least one atom")
         for a in atoms:
@@ -191,8 +193,9 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _require_same_universe(a, b):
-    if a.universe != b.universe:
+def _require_same_universe(a, b, where: str):
+    """Refuse ``b`` unless it is a Proposition over ``a``'s universe; ``where`` names the caller."""
+    if _require(b, Proposition, where).universe != a.universe:
         raise InputError("operands are over different universes")
 
 
@@ -210,6 +213,8 @@ class Proposition(_Value):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.universe, Universe):
+            raise InputError(f"Proposition needs a Universe, got {self.universe!r}")
         if type(self.mask) is not int:
             raise InputError(f"proposition mask must be an int, got {self.mask!r}")
         if not 0 <= self.mask < (1 << len(self.universe.worlds)):
@@ -233,16 +238,16 @@ class Proposition(_Value):
         return Proposition(self.universe, ((1 << len(self.universe.worlds)) - 1) ^ self.mask)
 
     def intersect(self, other: Proposition) -> Proposition:
-        _require_same_universe(self, other)
+        _require_same_universe(self, other, "intersect")
         return Proposition(self.universe, self.mask & other.mask)
 
     def union(self, other: Proposition) -> Proposition:
-        _require_same_universe(self, other)
+        _require_same_universe(self, other, "union")
         return Proposition(self.universe, self.mask | other.mask)
 
     def entails(self, other: Proposition) -> bool:
         """Subset inclusion: this proposition holds only where ``other`` does."""
-        _require_same_universe(self, other)
+        _require_same_universe(self, other, "entails")
         return self.mask & ~other.mask == 0
 
     __invert__ = complement

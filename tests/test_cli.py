@@ -3,6 +3,7 @@
 import errno
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -787,3 +788,38 @@ def test_benchmark_tracer_finds_its_targets(capsys, monkeypatch):
         summary["spans"])
     assert originals == (rankrev.Proposition.__post_init__, rankrev.RankedModel.__init__,
                          rankrev.cli.check_agm)
+
+
+def _mutants(text, seed, count):
+    """``count`` copies of ``text``, each with one to three characters deleted,
+    replaced or inserted at random, from a fixed seed."""
+    rng = random.Random(seed)
+    alphabet = "AaBbCcDd019:=[]{}~&|()->#_ \n\té"
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i, edit = rng.randrange(len(chars)), rng.randrange(3)
+            if edit == 0:
+                del chars[i]
+            else:
+                chars[i:i + (edit == 1)] = rng.choice(alphabet)
+        yield "".join(chars)
+
+
+def test_mutated_model_files_and_scripts_keep_the_exit_code_contract(capsys, tmp_path):
+    """Every command exits 0, 1 or 2 on a corrupted input; none raises."""
+    model, script = tmp_path / "m.bel", tmp_path / "script.txt"
+    commands = (("check", "--model", str(model), "--rule", "spohn:1",
+                 "--axioms", "agm,b9,b10,order,degrees,r"),
+                ("represent", "--model", str(model)),
+                ("degrees", "--model", str(model), "--state", "k1"),
+                ("revise", "--model", str(model), "--state", "r1", "--rule", "natural", "A"))
+    codes = set()
+    for text in _mutants(Path(FIXTURE).read_text(encoding="utf-8"), 1, 100):
+        model.write_text(text, encoding="utf-8")
+        codes |= {run(capsys, *argv)[0] for argv in commands}
+    for text in _mutants(SCRIPT.read_text(encoding="utf-8"), 2, 100):
+        script.write_text(text, encoding="utf-8")
+        codes.add(run(capsys, "iterate", "--model", FOUR_ATOM_FILE, "--state", "s",
+                      "--rule", "lex", str(script))[0])
+    assert codes == {0, 1, 2}

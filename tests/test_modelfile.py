@@ -131,6 +131,8 @@ def test_no_worlds_at_all():
 def test_missing_file():
     with pytest.raises(rr.InputError):
         load_model("/nonexistent/path.bel")
+    with pytest.raises(rr.InputError, match="^cannot read model file 'x\\\\x00': embedded null"):
+        load_model("x\0")
 
 
 def test_a_file_descriptor_is_refused_and_left_open():

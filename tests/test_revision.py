@@ -79,6 +79,8 @@ BAD_RULE_OUTPUTS = {
                       "ranked model blocks must cover the universe"),
     "not-int": (lambda blocks, _: tuple(map(float, blocks)),
                 "ranked model blocks must be int masks"),
+    "none": (lambda blocks, _: None, "rule output must be an iterable of block masks, got None"),
+    "not-iterable": (lambda blocks, _: 1, "rule output must be an iterable of block masks, got 1"),
 }
 
 # Every operation that applies a rule to a ranked model over U4.
@@ -98,6 +100,22 @@ RULE_CALLERS = {
 def test_rule_output_must_partition_the_universe(call, output, message, r2):
     with pytest.raises(InputError, match=f"^{message}$"):
         call(rr.RevisionRule("bad", output), r2)
+
+
+def test_a_transform_error_is_not_relabelled(r2):
+    def broken(blocks, _):
+        return len(None)
+
+    for call in RULE_CALLERS.values():
+        with pytest.raises(TypeError, match="NoneType"):
+            call(rr.RevisionRule("broken", broken), r2)
+
+
+def test_a_rule_is_a_named_callable():
+    for fields in (("bad", 1), (1, max), ("bad", max, 1), ("bad", max, None)):
+        with pytest.raises(InputError):
+            rr.RevisionRule(*fields)
+    assert rr.RevisionRule("max", max, True).strength_based
 
 
 def test_lexicographic_rule(uni, r1, r3, prop_a):
