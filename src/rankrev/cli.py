@@ -17,8 +17,8 @@ import io
 import os
 import re
 import sys
+from collections.abc import Callable
 from contextlib import redirect_stdout, suppress
-from typing import Callable
 
 from .errors import InputError, ParseError
 from .modelfile import MAX_MODEL_WORLDS, ModelFile, load_model, read_text, resolve_proposition

@@ -70,14 +70,6 @@ class EpistemicInput(_Value):
             raise InputError("strength must be at least 1")
         self._fill(proposition, attitude, strength)
 
-    def signed_strength(self, default: int) -> int:
-        s = self.strength if self.strength is not None else default
-        if self.attitude is Attitude.BELIEVE:
-            return s
-        if self.attitude is Attitude.DISBELIEVE:
-            return -s
-        return 0
-
     def __str__(self) -> str:
         text = f"{self.attitude.value} {self.proposition}"
         if self.strength is not None:
@@ -102,19 +94,18 @@ def suspend_content(model: RankedModel, prop: Proposition) -> Proposition:
     The union of the two revised contents represents the intersection of the
     post-belief and post-disbelief belief sets.
     """
-    return revise(model, prop) | revise(model, ~prop)
+    _require(model, RankedModel, "suspend_content")
+    _require_same_universe(model, prop, "suspend_content")
+    suspension = EpistemicInput(prop, Attitude.SUSPEND)
+    return Proposition(model.universe, _required(model._masks, suspension))
 
 
 def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Proposition:
     """The belief content any rule must produce for the given input."""
     _require(model, RankedModel, "required_content")
     _require(epistemic_input, EpistemicInput, "required_content")
-    prop = epistemic_input.proposition
-    if epistemic_input.attitude is Attitude.BELIEVE:
-        return revise(model, prop)
-    if epistemic_input.attitude is Attitude.DISBELIEVE:
-        return revise(model, prop.complement())
-    return suspend_content(model, prop)
+    _require_same_universe(model, epistemic_input.proposition, "required_content")
+    return Proposition(model.universe, _required(model._masks, epistemic_input))
 
 
 class RevisionRule(_Value):
@@ -182,6 +173,16 @@ def _target_side(epistemic_input: EpistemicInput) -> int:
     return ~mask if epistemic_input.attitude is Attitude.DISBELIEVE else mask
 
 
+def _required(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> int:
+    """The first block any rule must produce: revision by the side the input puts
+    first, joined for suspension with revision by the other side."""
+    side = _target_side(epistemic_input)
+    front = _revised(blocks, side)
+    if epistemic_input.attitude is Attitude.SUSPEND:
+        front |= _revised(blocks, ~side)
+    return front
+
+
 def _lexicographic(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
     side = _target_side(epistemic_input)
     first, second = _side_chain(blocks, side), _side_chain(blocks, ~side)
@@ -192,10 +193,7 @@ def _lexicographic(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> 
 
 
 def _natural(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
-    side = _target_side(epistemic_input)
-    front = _revised(blocks, side)  # the required content, as in ``required_content``
-    if epistemic_input.attitude is Attitude.SUSPEND:
-        front |= _revised(blocks, ~side)
+    front = _required(blocks, epistemic_input)
     return [front] + _side_chain(blocks, ~front)
 
 
@@ -263,7 +261,9 @@ def spohn_rule(alpha: int) -> RevisionRule:
     def transform(blocks: tuple[int, ...], epistemic_input: EpistemicInput) -> list[int]:
         target = _target_side(epistemic_input)
         levels: dict[int, int] = {}
-        for side, floor in ((target, 0), (~target, abs(epistemic_input.signed_strength(alpha)))):
+        suspended = epistemic_input.attitude is Attitude.SUSPEND
+        other = 0 if suspended else epistemic_input.strength or alpha  # a set strength is >= 1
+        for side, floor in ((target, 0), (~target, other)):
             chain = [(r, b & side) for r, b in enumerate(blocks) if b & side]
             for r, m in chain:
                 level = r - chain[0][0] + floor

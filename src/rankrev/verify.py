@@ -64,10 +64,10 @@ from .revision import (
     RevisionRule,
     _posterior,
     _require_revisable,
+    _required,
     _revised,
     _side_chain,
     apply_rule,  # unused here, but perfbench/tracing.py patches (verify, "apply_rule")
-    required_content,
     reverse_strength,
     revise,
     spohn_conditionalize,
@@ -471,7 +471,7 @@ def constrained_successors(model: RankedModel,
     _require(epistemic_input, EpistemicInput, "constrained_successors")
     prop = epistemic_input.proposition
     _require_revisable(model, prop, "constrained_successors")
-    first = required_content(model, epistemic_input).mask
+    first = _required(model._masks, epistemic_input)
     accepted = _side_chain(model._masks, prop.mask & ~first)
     rejected = _side_chain(model._masks, ~prop.mask & ~first)
 

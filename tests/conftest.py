@@ -46,11 +46,6 @@ def k1():
     return K1
 
 
-@pytest.fixture
-def all_models():
-    return ALL_MODELS_4
-
-
 def plain_universe(n: int) -> rr.Universe:
     return rr.Universe(tuple(f"w{i}" for i in range(n)))
 

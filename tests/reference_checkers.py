@@ -47,6 +47,10 @@ print the same bytes.
 ``revise`` is the object-level sphere rule: the first consistent block,
 found by ``first_consistent_block``, intersected with the input.  The
 library's ``revise``, which cuts block masks, must return equal contents.
+``required_content`` reads the first block an input forces off ``revise``:
+by the input's proposition, its complement, or the union of both for
+suspension.  The natural rule and ``constrained_successors`` take it from
+there, not from the library.
 ``revise`` and ``apply_rule`` are looked up in this module, so a test can
 break revision here and in ``rankrev.verify`` alike.
 
@@ -74,7 +78,6 @@ from rankrev import (
     Witness,
     apply_rule,
     ocf_from_rpm,
-    required_content,
     rpm_from_ocf,
     spohn_conditionalize,
 )
@@ -85,6 +88,15 @@ def revise(model: RankedModel, prop: Proposition) -> Proposition:
     if i is None:
         return model.universe.contradiction()
     return model.blocks[i].intersect(prop)
+
+
+def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Proposition:
+    prop = epistemic_input.proposition
+    if epistemic_input.attitude is Attitude.BELIEVE:
+        return revise(model, prop)
+    if epistemic_input.attitude is Attitude.DISBELIEVE:
+        return revise(model, prop.complement())
+    return revise(model, prop).union(revise(model, prop.complement()))
 
 
 def check_agm(model: RankedModel) -> AxiomReport:
@@ -468,7 +480,9 @@ flip_rule = object_rule("flip", _flip)
 
 def spohn_rule(alpha: int) -> RevisionRule:
     def conditionalize(model: RankedModel, epistemic_input: EpistemicInput) -> RankedModel:
-        signed = epistemic_input.signed_strength(alpha)
+        strength = epistemic_input.strength or alpha
+        signed = {Attitude.BELIEVE: strength, Attitude.DISBELIEVE: -strength,
+                  Attitude.SUSPEND: 0}[epistemic_input.attitude]
         posterior = spohn_conditionalize(ocf_from_rpm(model), epistemic_input.proposition, signed)
         return rpm_from_ocf(posterior)
 

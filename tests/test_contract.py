@@ -6,9 +6,12 @@ when one of its positional arguments is of the wrong type or value; never
 ``AttributeError``, ``TypeError`` or a plain ``ValueError``.  Each table
 entry is one valid call; the tests replace its positional arguments one at a
 time.  A generator that is returned is advanced one step, so its checks run.
+A wrong-type message, ``<name> needs a|an <Type>``, names the callable the
+table called (a rule object is applied by ``apply_rule``).
 """
 
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -94,7 +97,6 @@ METHODS = {
     "RankedModel.disbelief_degree": (R1.disbelief_degree, (A,)),
     "OCF.from_map": (rr.OCF.from_map, (U, {"AB": 1, "Ab": 1, "aB": 0, "ab": 2})),
     "OCF.degree": (K1.degree, (A,)),
-    "EpistemicInput.signed_strength": (BELIEVE_A.signed_strength, (2,)),
 }
 
 WRONG = (None, 1, 1.5, "x", True, [], object(), -1)
@@ -114,23 +116,32 @@ def _call(call, args):
         next(result, None)
 
 
-def _breach(call, args):
+NEEDS = re.compile(r"(\w+) needs an? [A-Z]")
+
+
+def _called(name, call):
+    """The callable a wrong-type message must name for the table entry ``name``."""
+    return "apply_rule" if isinstance(call, rr.RevisionRule) else name.rpartition(".")[2]
+
+
+def _breach(call, args, called):
     """The exception ``call(*args)`` raises outside the contract, or None."""
     try:
         _call(call, args)
-    except InputError:
-        return None
+    except InputError as exc:
+        needs = NEEDS.match(str(exc))
+        return exc if needs and needs.group(1) != called else None
     except Exception as exc:  # anything else breaks the contract
         return exc
     return None
 
 
-def _breaches(call, args, values):
+def _breaches(name, call, args, values):
     """Each (position, value, exception) where a value at one position breaks the contract."""
-    out = []
+    out, called = [], _called(name, call)
     for i in range(len(args)):
         for value in values:
-            exc = _breach(call, args[:i] + (value,) + args[i + 1:])
+            exc = _breach(call, args[:i] + (value,) + args[i + 1:], called)
             if exc is not None:
                 out.append((i, value, exc))
     return out
@@ -141,19 +152,20 @@ def test_every_public_callable_refuses_wrong_arguments(name):
     assert name in VALID, f"add a valid call of {name} to VALID"
     call, args = getattr(rr, name), VALID[name]
     _call(call, args)
-    assert _breaches(call, args, WRONG) == []
+    assert _breaches(name, call, args, WRONG) == []
 
 
 @pytest.mark.parametrize("name", METHODS)
 def test_every_public_method_refuses_wrong_arguments(name):
     call, args = METHODS[name]
     _call(call, args)
-    assert _breaches(call, args, WRONG) == []
+    assert _breaches(name, call, args, WRONG) == []
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_wrong_typed_values_from_a_strategy(data):
-    calls = [(getattr(rr, n), a) for n, a in VALID.items()] + list(METHODS.values())
-    call, args = data.draw(st.sampled_from(calls))
-    assert _breaches(call, args, [data.draw(WRONG_TYPED)]) == []
+    calls = ([(n, getattr(rr, n), a) for n, a in VALID.items()]
+             + [(n, c, a) for n, (c, a) in METHODS.items()])
+    name, call, args = data.draw(st.sampled_from(calls))
+    assert _breaches(name, call, args, [data.draw(WRONG_TYPED)]) == []

@@ -183,7 +183,6 @@ def test_strength_must_be_magnitude(prop_a):
         assert EpistemicInput(prop_a, attitude, 1).strength == 1
     with pytest.raises(InputError, match="suspend takes no strength"):
         EpistemicInput(prop_a, Attitude.SUSPEND, 2)
-    assert EpistemicInput(prop_a, Attitude.SUSPEND).signed_strength(3) == 0
 
 
 @pytest.mark.parametrize("strength", [True, 2.5, "2"], ids=["bool", "float", "str"])
