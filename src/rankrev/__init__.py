@@ -24,7 +24,6 @@ from .revision import (
     rule_by_name,
     spohn_conditionalize,
     spohn_rule,
-    suspend_content,
 )
 from .verify import (
     AxiomReport,
@@ -96,5 +95,4 @@ __all__ = [
     "rule_by_name",
     "spohn_conditionalize",
     "spohn_rule",
-    "suspend_content",
 ]

@@ -19,6 +19,7 @@ import re
 import sys
 from collections.abc import Callable
 from contextlib import redirect_stdout, suppress
+from types import SimpleNamespace
 
 from .errors import InputError, ParseError
 from .modelfile import MAX_MODEL_WORLDS, ModelFile, load_model, read_text, resolve_proposition
@@ -54,6 +55,19 @@ from .worlds import Proposition, check_world_bound
 # and the largest --worlds of counterexample and of enumerate.
 DEFAULT_CHECK_BOUND = 8
 
+
+# check's axioms, in --help order, which _axiom_reports runs: whether each
+# needs --rule, whether --max-worlds bounds the file (its checker walks every
+# proposition), and what its pass line counts.
+_AXIOMS = {
+    "agm": SimpleNamespace(needs_rule=False, bounded=True, noun="cases"),
+    "b9": SimpleNamespace(needs_rule=True, bounded=True, noun="cases"),
+    "b10": SimpleNamespace(needs_rule=True, bounded=True, noun="cases"),
+    "order": SimpleNamespace(needs_rule=True, bounded=False, noun="cases"),
+    "degrees": SimpleNamespace(needs_rule=False, bounded=True, noun="cases"),
+    "r": SimpleNamespace(needs_rule=True, bounded=False, noun="reversals tried"),
+}
+
 _SCRIPT_LINE = re.compile(r"\s*(believe|disbelieve|suspend)\s+(.+?)(?:\s+(strength)\s+([0-9]+))?\s*")
 
 
@@ -82,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
     p.add_argument("--model", required=True)
     p.add_argument("--state", help="restrict to one named state")
-    p.add_argument("--rule", help="required for b9, b10, order, r")
-    p.add_argument("--axioms", default="agm",
-                   help="comma-separated: agm, b9, b10, order, degrees, r")
+    p.add_argument("--rule", help="required for "
+                   + ", ".join(a for a, axiom in _AXIOMS.items() if axiom.needs_rule))
+    p.add_argument("--axioms", default="agm", help=f"comma-separated: {', '.join(_AXIOMS)}")
     p.add_argument("--max-strength", type=int, default=DEFAULT_MAX_STRENGTH)
     p.add_argument("--max-worlds", type=int, default=DEFAULT_CHECK_BOUND)
 
@@ -243,15 +257,15 @@ def _nondegenerate_props(model_file: ModelFile) -> list[tuple[str, Proposition]]
 def _cmd_check(args) -> int:
     _check_strength_bound(args.max_strength)
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
-    bounded = any(a in ("agm", "b9", "b10", "degrees") for a in axioms)
+    bounded = any(_AXIOMS[a].bounded for a in axioms if a in _AXIOMS)
     mf = load_model(args.model, args.max_worlds if bounded else None)
-    known = ("agm", "b9", "b10", "order", "degrees", "r")
+    known = ", ".join(_AXIOMS)
     if not axioms:
-        raise InputError(f"no axioms given (expected one or more of {', '.join(known)})")
+        raise InputError(f"no axioms given (expected one or more of {known})")
     for a in axioms:
-        if a not in known:
-            raise InputError(f"unknown axiom {a!r} (expected one of {', '.join(known)})")
-    needs_rule = [a for a in axioms if a in ("b9", "b10", "order", "r")]
+        if a not in _AXIOMS:
+            raise InputError(f"unknown axiom {a!r} (expected one of {known})")
+    needs_rule = [a for a in axioms if _AXIOMS[a].needs_rule]
     rule = rule_by_name(args.rule) if args.rule else None
     if needs_rule and rule is None:
         raise InputError(f"--rule is required for {', '.join(needs_rule)}")
@@ -260,54 +274,46 @@ def _cmd_check(args) -> int:
     failures = 0
     for axiom in axioms:
         for name, state in states:
-            failures += _run_check(axiom, name, state, rule, props, args)
+            reports = _axiom_reports(axiom, state, rule, props, args.max_strength)
+            failures += _print_reports(f"{axiom}[{name}]", reports, _AXIOMS[axiom].noun)
     return _result(failures, "violation")
 
 
-def _run_check(axiom: str, name: str, state: RankedModel, rule: RevisionRule | None,
-               props: list[tuple[str, Proposition]], args) -> int:
-    if axiom == "agm":
-        report = check_agm(state)
-        return _print_report(f"agm[{name}]", report)
-    if axiom in ("b9", "b10"):
-        report = check_iteration_axiom(rule, axiom.upper(), state)
-        return _print_report(f"{axiom}[{name}]", report)
-    if axiom == "degrees":
-        report = check_degree_conditions(state)
-        return _print_report(f"degrees[{name}]", report)
+def _axiom_reports(axiom: str, state: RankedModel, rule: RevisionRule | None,
+                   props: list[tuple[str, Proposition]], max_strength: int):
+    """``(FAIL-line suffix, report)`` pairs of one axiom on one state, in print order.
+
+    Each checker is looked up when it runs: perfbench/tracing.py patches them here.
+    """
     if axiom == "order":
-        cases = 0
         for prop_name, prop in props:
-            report = check_order_preservation(rule, state, prop)
-            cases += report.cases
-            if not report.passed:
-                print(f"order[{name}]: FAIL at {prop_name}")
-                print(f"  {report.witness.description}")
-                return 1
-        print(f"order[{name}]: pass ({cases} cases)")
-        return 0
-    # axiom == "r": reversibility over every named proposition and attitude
-    tried = 0
-    for prop_name, prop in props:
-        for attitude in Attitude:
-            epistemic_input = EpistemicInput(prop, attitude)
-            report = check_reversibility(rule, state, epistemic_input, args.max_strength)
-            tried += report.cases
-            if not report.passed:
-                print(f"r[{name}]: FAIL — {attitude.value} {prop_name} is irreversible")
-                print(f"  {report.witness.description}")
-                return 1
-    print(f"r[{name}]: pass ({tried} reversals tried)")
+            yield f" at {prop_name}", check_order_preservation(rule, state, prop)
+    elif axiom == "r":
+        for prop_name, prop in props:
+            for attitude in Attitude:
+                report = check_reversibility(rule, state, EpistemicInput(prop, attitude),
+                                             max_strength)
+                yield f" — {attitude.value} {prop_name} is irreversible", report
+    elif axiom == "agm":
+        yield "", check_agm(state)
+    elif axiom == "degrees":
+        yield "", check_degree_conditions(state)
+    else:  # b9 or b10
+        yield "", check_iteration_axiom(rule, axiom.upper(), state)
+
+
+def _print_reports(label: str, reports, noun: str = "cases") -> int:
+    """Print one pass line with the summed cases and return 0, or the first
+    failure's FAIL line and witness, drawing no later report, and return 1."""
+    cases = 0
+    for suffix, report in reports:
+        cases += report.cases
+        if not report.passed:
+            print(f"{label}: FAIL{suffix}")
+            print(f"  {report.witness.description}")
+            return 1
+    print(f"{label}: pass ({cases} {noun})")
     return 0
-
-
-def _print_report(label: str, report) -> int:
-    if report.passed:
-        print(f"{label}: pass ({report.cases} cases)")
-        return 0
-    print(f"{label}: FAIL")
-    print(f"  {report.witness.description}")
-    return 1
 
 
 def _cmd_counterexample(args) -> int:
@@ -426,8 +432,7 @@ def _cmd_degrees(args) -> int:
         raise InputError(f"no state named {args.state!r} in model file")
     for name, prop in mf.props.items():
         print(_degree_line(degree, name, prop))
-    report = check_degree_conditions(state)
-    return _print_report("degree conditions", report)
+    return _print_reports("degree conditions", [("", check_degree_conditions(state))])
 
 
 def _degree_line(degree: Callable[[Proposition], int], name: str, prop: Proposition) -> str:

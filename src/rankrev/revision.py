@@ -88,18 +88,6 @@ def revise(model: RankedModel, prop: Proposition) -> Proposition:
     return Proposition(model.universe, _revised(model._masks, prop.mask))
 
 
-def suspend_content(model: RankedModel, prop: Proposition) -> Proposition:
-    """The belief content that remains when judgment in ``prop`` is suspended.
-
-    The union of the two revised contents represents the intersection of the
-    post-belief and post-disbelief belief sets.
-    """
-    _require(model, RankedModel, "suspend_content")
-    _require_same_universe(model, prop, "suspend_content")
-    suspension = EpistemicInput(prop, Attitude.SUSPEND)
-    return Proposition(model.universe, _required(model._masks, suspension))
-
-
 def required_content(model: RankedModel, epistemic_input: EpistemicInput) -> Proposition:
     """The belief content any rule must produce for the given input."""
     _require(model, RankedModel, "required_content")
@@ -273,18 +261,17 @@ def spohn_rule(alpha: int) -> RevisionRule:
     return RevisionRule(f"spohn:{alpha}", transform, strength_based=True)
 
 
+_BUILT_IN_RULES = {"lex": lexicographic_rule, "natural": natural_rule, "flip": flip_rule}
+
+
 def rule_by_name(text: str) -> RevisionRule:
     """Look up ``lex``, ``natural``, ``flip``, or ``spohn:N``."""
     _require(text, str, "rule_by_name")
-    if text == "lex":
-        return lexicographic_rule
-    if text == "natural":
-        return natural_rule
-    if text == "flip":
-        return flip_rule
+    if text in _BUILT_IN_RULES:
+        return _BUILT_IN_RULES[text]
     if text.startswith("spohn:"):
         m = re.fullmatch(r"spohn:([0-9]+)", text)
         if not m:
             raise InputError(f"bad rule strength in {text!r}")
         return spohn_rule(int(m.group(1)))
-    raise InputError(f"unknown rule {text!r} (expected lex, natural, flip, or spohn:N)")
+    raise InputError(f"unknown rule {text!r} (expected {', '.join(_BUILT_IN_RULES)}, or spohn:N)")

@@ -26,6 +26,12 @@ STRENGTH_SCRIPT = Path(__file__).parent / "data" / "iterate-script-strength.txt"
 # ``iterate --rule R`` on state s of the 4-atom file: golden name, rule, script.
 ITERATE_GOLDENS = [("lex", "lex", SCRIPT), ("natural", "natural", SCRIPT),
                    ("flip", "flip", SCRIPT), ("spohn-2", "spohn:2", STRENGTH_SCRIPT)]
+# Every axiom of ``check`` on the fixture under each built-in rule (each finds a
+# violation), and ``degrees`` on its OCF state: golden name, argv, exit code.
+CHECK_GOLDENS = [(f"check-{rule.replace(':', '-')}",
+                  ("check", "--model", FIXTURE, "--axioms", "agm,b9,b10,order,degrees,r",
+                   "--rule", rule), 1) for rule in ("lex", "natural", "flip", "spohn:1")]
+CHECK_GOLDENS.append(("degrees-k1", ("degrees", "--model", FIXTURE, "--state", "k1"), 0))
 
 
 def run(capsys, *argv):
@@ -323,6 +329,13 @@ def test_iterate_golden_bytes(capsys, golden, rule, script):
     expected = (GOLDEN.parent / f"iterate-{golden}.txt").read_text(encoding="utf-8")
     assert run(capsys, "iterate", "--model", FOUR_ATOM_FILE, "--state", "s", "--rule", rule,
                str(script)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("golden, argv, code", CHECK_GOLDENS,
+                         ids=[g for g, _, _ in CHECK_GOLDENS])
+def test_check_and_degrees_golden_bytes(capsys, golden, argv, code):
+    expected = (GOLDEN.parent / f"{golden}.txt").read_text(encoding="utf-8")
+    assert run(capsys, *argv) == (code, expected, "")
 
 
 @pytest.mark.parametrize("rule", ["lex", "natural", "flip", "spohn:2"])
@@ -777,13 +790,15 @@ def test_benchmark_tracer_finds_its_targets(capsys, monkeypatch):
     tracer = tracing.Tracer()
     tracer.install(rankrev)
     try:
-        code = run(capsys, "check", "--model", FIXTURE, "--rule", "lex", "--axioms", "agm,b9")[0]
+        code = run(capsys, "check", "--model", FIXTURE, "--rule", "lex",
+                   "--axioms", "agm,b9,b10,order,degrees,r")[0]
     finally:
         tracer.uninstall()
-    assert code == 0
+    assert code == 1  # lex is irreversible
     summary = tracer.summary()
     assert summary["counts"]["worlds.Proposition"] > 0
-    assert summary["counts"]["verify.agm.cases"] > 0 and summary["counts"]["verify.b9.cases"] > 0
+    for axiom in ("agm", "b9", "b10", "order", "degrees", "r"):
+        assert summary["counts"][f"verify.{axiom}.cases"] > 0, axiom
     assert {"modelfile.load_model", "ranking.RankedModel", "revision.revise"} <= set(
         summary["spans"])
     assert originals == (rankrev.Proposition.__post_init__, rankrev.RankedModel.__init__,

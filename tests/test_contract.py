@@ -78,7 +78,6 @@ VALID = {
     "rule_by_name": ("spohn:2",),
     "spohn_conditionalize": (K1, A, 2),
     "spohn_rule": (2,),
-    "suspend_content": (R1, A),
 }
 
 # The public methods, bound where they act on a value: one valid call each.

@@ -23,10 +23,13 @@ def test_revise(uni, r1, r3, prop_a):
 
 
 def test_suspend_content(uni, r1, r3, prop_a):
-    assert rr.suspend_content(r3, prop_a) == uni.prop("AB", "Ab", "aB")
-    assert rr.suspend_content(r1, prop_a) == uni.prop("AB", "Ab", "aB")
+    def suspend(model, prop):
+        return rr.required_content(model, _input(prop, Attitude.SUSPEND))
+
+    assert suspend(r3, prop_a) == uni.prop("AB", "Ab", "aB")
+    assert suspend(r1, prop_a) == uni.prop("AB", "Ab", "aB")
     # suspending the tautology leaves exactly the prior belief content
-    assert rr.suspend_content(r1, uni.tautology()) == r1.blocks[0]
+    assert suspend(r1, uni.tautology()) == r1.blocks[0]
 
 
 def test_apply_rule(uni, r1, r2, r3, prop_a):
