@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify that no rule satisfying B9/B10 can reverse both histories")
     p.set_defaults(handler=_cmd_counterexample)
     p.add_argument("--worlds", type=int, default=4, help=f"3 to {DEFAULT_CHECK_BOUND}")
-    p.add_argument("--max-strength", type=int, default=DEFAULT_MAX_STRENGTH)
 
     p = sub.add_parser("enumerate", help="count ranked models over n worlds")
     p.set_defaults(handler=_cmd_enumerate)
@@ -134,11 +133,6 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             if getattr(args, "max_worlds", 1) < 1:
                 raise InputError(f"--max-worlds must be at least 1, got {args.max_worlds}")
-            # A ranking has at most MAX_MODEL_WORLDS ranks, and any strength from a
-            # model's block count up gives the same posterior.
-            if getattr(args, "max_strength", 0) > MAX_MODEL_WORLDS:
-                raise InputError(f"--max-strength must be at most {MAX_MODEL_WORLDS}, "
-                                 f"got {args.max_strength}")
             code = args.handler(args)
         except SystemExit as exc:  # argparse, after --help or a usage error
             code = exc.code if isinstance(exc.code, int) else 2
@@ -255,8 +249,14 @@ def _nondegenerate_props(model_file: ModelFile) -> list[tuple[str, Proposition]]
 
 
 def _cmd_check(args) -> int:
+    # A ranking has at most MAX_MODEL_WORLDS ranks, and any strength from a
+    # model's block count up gives the same posterior.
+    if args.max_strength > MAX_MODEL_WORLDS:
+        raise InputError(f"--max-strength must be at most {MAX_MODEL_WORLDS}, "
+                         f"got {args.max_strength}")
     _check_strength_bound(args.max_strength)
-    axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    # Each axiom runs once, in order of first mention.
+    axioms = list(dict.fromkeys(a.strip() for a in args.axioms.split(",") if a.strip()))
     bounded = any(_AXIOMS[a].bounded for a in axioms if a in _AXIOMS)
     mf = load_model(args.model, args.max_worlds if bounded else None)
     known = ", ".join(_AXIOMS)
@@ -317,12 +317,8 @@ def _print_reports(label: str, reports, noun: str = "cases") -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    if args.worlds < 3:
-        raise InputError("the counterexample needs at least three worlds")
     check_world_bound(args.worlds, DEFAULT_CHECK_BOUND)
-    sizes = (args.worlds - 3, 1, 1, 1)
-    fixture = counterexample_fixture(sizes)
-    report = counterexample_verify(fixture, args.max_strength)
+    report = counterexample_verify(counterexample_fixture(args.worlds))
     print(render_counterexample(report), end="")
     return 0 if report.passed else 1
 

@@ -615,28 +615,25 @@ class CounterexampleFixture(_Value):
         self._fill(universe, prop_a, r1, r2, r3)
 
 
-def counterexample_fixture(sizes: tuple[int, int, int, int] = (1, 1, 1, 1)) -> CounterexampleFixture:
-    """Build the fixture; ``sizes`` are the four group sizes, the first at
-    least zero and the others at least one.
+def counterexample_fixture(worlds: int = 4) -> CounterexampleFixture:
+    """Build the fixture over ``worlds`` worlds, at least three, in groups of
+    ``worlds - 3``, 1, 1 and 1.
 
-    The default instantiates the two-atom universe (worlds AB, Ab, aB, ab with
-    the four groups being the four single worlds); other sizes use plain
-    labels ``w<group><letter>`` without valuations.  Sizes (0, 1, 1, 1) give
-    the smallest universe, three worlds, where A is the second group alone.
+    Four worlds instantiate the two-atom universe (worlds AB, Ab, aB, ab, the
+    four groups being the four single worlds); other counts use plain labels
+    ``w<group><letter>`` without valuations.  Three worlds leave the first
+    group empty, so A is the second group alone.
     """
-    if not isinstance(sizes, (tuple, list)) or any(type(s) is not int for s in sizes):
-        raise InputError(f"fixture group sizes must be ints, got {sizes!r}")
-    if len(sizes) != 4 or sizes[0] < 0 or any(s < 1 for s in sizes[1:]):
-        raise InputError("fixture needs four groups, all but the first non-empty")
-    if tuple(sizes) == (1, 1, 1, 1):
+    if type(worlds) is not int:
+        raise InputError(f"world count must be an int, got {worlds!r}")
+    if worlds < 3:
+        raise InputError("the counterexample needs at least three worlds")
+    if worlds == 4:
         u = Universe.from_atoms(("A", "B"))
-        groups = [u.prop("AB"), u.prop("Ab"), u.prop("aB"), u.prop("ab")]
     else:
-        group_labels = [[f"w{g}{chr(ord('a') + j)}" for j in range(size)]
-                        for g, size in enumerate(sizes, start=1)]
-        u = Universe(tuple(w for members in group_labels for w in members))
-        groups = [u.prop(*members) for members in group_labels]
-    w1, w2, w3, w4 = groups
+        u = Universe(tuple(f"w1{chr(ord('a') + j)}" for j in range(worlds - 3))
+                     + ("w2a", "w3a", "w4a"))
+    w1, w2, w3, w4 = u.prop(*u.worlds[:-3]), *(u.prop(w) for w in u.worlds[-3:])
     a = w1.union(w2)
     r1 = RankedModel((w3, w3.complement()))
     r2 = RankedModel((w3, a, w4))
@@ -662,8 +659,7 @@ class CounterexampleReport(AxiomReport):
                    r3_believe, r3_suspend, r3_disbelieve, degrees, strength_outputs)
 
 
-def counterexample_verify(fixture: CounterexampleFixture | None = None,
-                          max_strength: int = DEFAULT_MAX_STRENGTH) -> CounterexampleReport:
+def counterexample_verify(fixture: CounterexampleFixture | None = None) -> CounterexampleReport:
     """Machine-check the argument that belief change over rankings is irreversible.
 
     Verifies that (a) believing A forces both starting rankings onto the same
@@ -672,10 +668,13 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
     single-valued rule must abandon one, and (d) rank-derived strengths do
     not help: both starts induce equal degrees, and strength-conditioning the
     successor never reaches both.
+
+    (d) tries every strength from -K to K, K being r3's block count: r3 read
+    as ranks is 0 to K - 1, so from strength ±K on one side of A lies wholly
+    above the other and the posterior ranking no longer changes.
     """
     if fixture is not None:
         _require(fixture, CounterexampleFixture, "counterexample_verify")
-    _check_strength_bound(max_strength)
     fx = fixture if fixture is not None else counterexample_fixture()
     a = fx.prop_a
     believe = EpistemicInput(a, Attitude.BELIEVE)
@@ -694,9 +693,10 @@ def counterexample_verify(fixture: CounterexampleFixture | None = None,
         (fx.r2.disbelief_degree(a), fx.r2.disbelief_degree(not_a)),
     )
     base = ocf_from_rpm(fx.r3)
+    # From |β| = K on, the shifted side starts above r3's top rank, K - 1: no new ranking.
+    k = len(fx.r3.blocks)
     strength_outputs = tuple(
-        (beta, rpm_from_ocf(spohn_conditionalize(base, a, beta)))
-        for beta in range(-max_strength, max_strength + 1)
+        (beta, rpm_from_ocf(spohn_conditionalize(base, a, beta))) for beta in range(-k, k + 1)
     )
 
     checks = [

@@ -45,7 +45,7 @@ def test_criterion_2_counterexample_reproduction():
     no_return = all(
         m not in standard.r3_believe + standard.r3_suspend for m in (fx.r1, fx.r2))
     both_disbelieve = fx.r1 in standard.r3_disbelieve and fx.r2 in standard.r3_disbelieve
-    generalized = rr.counterexample_verify(rr.counterexample_fixture((2, 1, 1, 1)))
+    generalized = rr.counterexample_verify(rr.counterexample_fixture(5))
     elapsed = time.perf_counter() - start
     ok = (standard.passed and forced and no_return and both_disbelieve
           and generalized.passed and elapsed < 1.0)

@@ -18,8 +18,7 @@ FIXTURE = str(Path(__file__).parent / "data" / "fixture.bel")
 FIVE_ATOMS = str(Path(__file__).parent / "data" / "five-atoms.bel")
 GOLDEN = Path(__file__).parent / "golden" / "counterexample.txt"
 # ``counterexample --worlds N`` output; the default (4 worlds) keeps the plain name.
-GOLDENS = {3: GOLDEN.with_name("counterexample-3.txt"), 4: GOLDEN,
-           5: GOLDEN.with_name("counterexample-5.txt"), 6: GOLDEN.with_name("counterexample-6.txt")}
+GOLDENS = {n: GOLDEN.with_name(f"counterexample-{n}.txt") for n in (3, 5, 6, 7, 8)} | {4: GOLDEN}
 FOUR_ATOM_FILE = str(Path(__file__).parent / "data" / "four-atoms.bel")
 SCRIPT = Path(__file__).parent / "data" / "iterate-script.txt"
 STRENGTH_SCRIPT = Path(__file__).parent / "data" / "iterate-script-strength.txt"
@@ -189,6 +188,13 @@ def test_check_requires_rule(capsys):
     assert "--rule is required" in err
 
 
+def test_check_runs_a_repeated_axiom_once(capsys):
+    assert run(capsys, "check", "--model", FIXTURE, "--axioms", "agm,agm", "--state", "r1") == (
+        0, "agm[r1]: pass (272 cases)\nresult: pass\n", "")
+    assert run(capsys, "check", "--model", FIXTURE, "--axioms", "b9,agm,b9,b10") == (
+        2, "", "error: --rule is required for b9, b10\n")
+
+
 def test_check_unknown_axiom(capsys):
     code, _, err = run(capsys, "check", "--model", FIXTURE, "--axioms", "b11")
     assert code == 2
@@ -248,8 +254,18 @@ def test_counterexample_up_to_the_check_bound(capsys, worlds):
     ("9", "error: universe has 9 worlds, over the bound of 8\n"),
     ("100000000", "error: universe has 100000000 worlds, over the bound of 8\n")])
 def test_counterexample_world_count_out_of_range(capsys, monkeypatch, worlds, err):
-    monkeypatch.setattr(rankrev.cli, "counterexample_fixture", _refuse)
+    # Over the bound the fixture is never called; under three worlds it
+    # refuses the count before it builds a universe.
+    monkeypatch.setattr(rankrev.Universe, "__init__", _refuse)
+    if worlds != "2":
+        monkeypatch.setattr(rankrev.cli, "counterexample_fixture", _refuse)
     assert run(capsys, "counterexample", "--worlds", worlds) == (2, "", err)
+
+
+def test_counterexample_takes_no_max_strength(capsys):
+    code, out, err = run(capsys, "counterexample", "--max-strength", "3")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --max-strength 3\n")
 
 
 def test_represent(capsys):
@@ -439,9 +455,8 @@ def test_ocf_value_with_non_ascii_digit_is_input_error(capsys, tmp_path, command
 
 
 @pytest.mark.parametrize("argv", [("check", "--model", FIXTURE, "--rule", "spohn:1",
-                                   "--axioms", "r", "--max-strength", "-1"),
-                                  ("counterexample", "--max-strength", "-1")],
-                         ids=["check-r", "counterexample"])
+                                   "--axioms", "r", "--max-strength", "-1")],
+                         ids=["check-r"])
 def test_negative_max_strength_is_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -462,9 +477,8 @@ def test_negative_max_strength_is_input_error_without_reversal_cases(capsys, tmp
 
 @pytest.mark.parametrize("argv", [("check", "--model", FIXTURE, "--rule", "spohn:1",
                                    "--axioms", "r", "--max-strength", "4097"),
-                                  ("check", "--model", FIXTURE, "--max-strength", "4097"),
-                                  ("counterexample", "--max-strength", "4097")],
-                         ids=["check-r", "check-agm", "counterexample"])
+                                  ("check", "--model", FIXTURE, "--max-strength", "4097")],
+                         ids=["check-r", "check-agm"])
 def test_max_strength_over_the_world_bound_is_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -488,9 +502,6 @@ def test_spohn_strength_must_be_ascii_digits(capsys, rule):
 
 
 def test_zero_max_strength_is_valid(capsys):
-    code, out, _ = run(capsys, "counterexample", "--max-strength", "0")
-    assert code == 0
-    assert "    +0 -> " in out
     # with strength 0 only suspension is tried, and it cannot undo belief
     code, out, _ = run(capsys, "check", "--model", FIXTURE, "--rule", "spohn:1",
                        "--axioms", "r", "--max-strength", "0")

@@ -55,8 +55,8 @@ VALID = {
     "check_order_preservation": (LEX, R1, A, Attitude.BELIEVE),
     "check_reversibility": (LEX, R1, BELIEVE_A, 3),
     "constrained_successors": (R1, BELIEVE_A),
-    "counterexample_fixture": ((1, 1, 1, 1),),
-    "counterexample_verify": (FX, 3),
+    "counterexample_fixture": (4,),
+    "counterexample_verify": (FX,),
     "enumerate_ranked_models": (U,),
     "find_irreversibility": (LEX, U, 3),
     "find_ocf_irreversibility": (U, 4, 3),

@@ -377,7 +377,6 @@ def test_negative_max_strength_is_input_error(r1, k1):
     calls = [lambda m: rr.check_reversibility(rr.spohn_rule(1), r1, believe_a, m),
              lambda m: rr.check_reversibility(rr.lexicographic_rule, r1, believe_a, m),
              lambda m: rr.check_ocf_reversibility(k1, A, 0, m),
-             lambda m: rr.counterexample_verify(max_strength=m),
              lambda m: rr.find_ocf_irreversibility(U4, max_value=1, max_strength=m),
              # one world has no proposition to revise by, so the bound is checked at entry
              lambda m: rr.find_irreversibility(rr.lexicographic_rule, plain_universe(1), m)]
@@ -402,7 +401,6 @@ def test_negative_max_strength_is_input_error(r1, k1):
     report = rr.check_reversibility(rr.spohn_rule(1), r1, believe_a, 0)
     assert report.cases == 1
     assert rr.check_ocf_reversibility(k1, A, 0, 0).cases == 1
-    assert rr.counterexample_verify(max_strength=0).strength_outputs[0][0] == 0
 
 
 @pytest.mark.parametrize("rule", [rr.lexicographic_rule, rr.natural_rule, rr.spohn_rule(1)],
@@ -530,7 +528,7 @@ def test_counterexample_verify_passes():
 
 
 def test_counterexample_verify_generalized_five_worlds():
-    report = rr.counterexample_verify(rr.counterexample_fixture((2, 1, 1, 1)))
+    report = rr.counterexample_verify(rr.counterexample_fixture(5))
     assert report.passed
 
 
@@ -570,26 +568,58 @@ def _forbid_enumeration(monkeypatch):
 @pytest.mark.parametrize("worlds", [3, 4, 5, 6])
 def test_counterexample_never_enumerates(monkeypatch, worlds):
     _forbid_enumeration(monkeypatch)
-    assert rr.counterexample_verify(rr.counterexample_fixture((worlds - 3, 1, 1, 1))).passed
+    assert rr.counterexample_verify(rr.counterexample_fixture(worlds)).passed
 
 
 def test_counterexample_fixture_validation():
-    # The first group may be empty: A is then the second group alone.
-    fx = rr.counterexample_fixture((0, 1, 1, 1))
+    # At three worlds the first group is empty: A is then the second group alone.
+    fx = rr.counterexample_fixture(3)
     assert fx.universe.worlds == ("w2a", "w3a", "w4a")
     assert fx.prop_a == fx.universe.prop("w2a")
-    for sizes in ((-1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1), (1, 1, 1, 1, 1)):
-        with pytest.raises(InputError,
-                           match="^fixture needs four groups, all but the first non-empty$"):
-            rr.counterexample_fixture(sizes)
-    for sizes in ((1.5, 1, 1, 1), (True, 1, 1, 1), (1, 1, 1, "2"), None, 4):
-        with pytest.raises(InputError, match="^fixture group sizes must be ints"):
-            rr.counterexample_fixture(sizes)
+    assert rr.counterexample_fixture(5).universe.worlds == ("w1a", "w1b", "w2a", "w3a", "w4a")
+    for worlds in (0, -1, 1, 2):
+        with pytest.raises(InputError, match="^the counterexample needs at least three worlds$"):
+            rr.counterexample_fixture(worlds)
+    for worlds in (1.5, True, "4", None, (1, 1, 1, 1)):
+        message = re.escape(f"world count must be an int, got {worlds!r}")
+        with pytest.raises(InputError, match=f"^{message}$"):
+            rr.counterexample_fixture(worlds)
 
 
-def test_counterexample_fixture_sizes_may_be_a_list():
-    assert rr.counterexample_fixture([1, 1, 1, 1]) == rr.counterexample_fixture()
-    assert rr.counterexample_fixture([2, 1, 1, 1]) == rr.counterexample_fixture((2, 1, 1, 1))
+def test_counterexample_strengths_past_the_block_count_change_nothing():
+    # The fact behind point (d)'s range: with K the block count, conditionalizing
+    # through the OCF at any |beta| > K gives the ranking at ±K, and so does
+    # spohn_rule at any input strength s > K.
+    rule = rr.spohn_rule(1)
+    compared = 0
+    for n in range(1, 5):
+        u = plain_universe(n)
+        for model in rr.enumerate_ranked_models(u):
+            k = len(model.blocks)
+            base = rr.ocf_from_rpm(model)
+            for prop in u.propositions():
+                if prop.is_empty or prop.is_full:
+                    continue
+                for sign in (1, -1):
+                    at_k = rr.rpm_from_ocf(rr.spohn_conditionalize(base, prop, sign * k))
+                    for beta in range(k + 1, 2 * k + 4):
+                        out = rr.rpm_from_ocf(rr.spohn_conditionalize(base, prop, sign * beta))
+                        assert out == at_k, (model, prop, sign * beta)
+                        compared += 1
+                for attitude in (Attitude.BELIEVE, Attitude.DISBELIEVE):
+                    at_k = rr.apply_rule(rule, model, EpistemicInput(prop, attitude, k))
+                    for s in range(k + 1, 2 * k + 4):
+                        out = rr.apply_rule(rule, model, EpistemicInput(prop, attitude, s))
+                        assert out == at_k, (model, prop, attitude, s)
+                        compared += 1
+    assert compared == 27_440
+    # K - 1 is not enough: on [w0] [w1] [w2] with A = {w0, w2}, strength 2 ties w1 with w2.
+    u = plain_universe(3)
+    model = rr.RankedModel.from_labels(u, ["w0"], ["w1"], ["w2"])
+    prop = u.prop("w0", "w2")
+    at_2 = rr.rpm_from_ocf(rr.spohn_conditionalize(rr.ocf_from_rpm(model), prop, 2))
+    assert at_2 == rr.RankedModel.from_labels(u, ["w0"], ["w1", "w2"])
+    assert at_2 != rr.rpm_from_ocf(rr.spohn_conditionalize(rr.ocf_from_rpm(model), prop, 3))
 
 
 # ---------------------------------------------------------------------------
